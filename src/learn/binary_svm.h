@@ -33,7 +33,9 @@ class OnlineBinarySvm {
 
   bool Predict(const SparseVector& x) const { return Margin(x) >= 0.0; }
 
-  /// One online update; returns true when the example violated the margin.
+  /// One online update; returns true when the example violated the margin,
+  /// in which case the gradient touched exactly the ids of x. Every other
+  /// feature only decays.
   bool Update(const SparseVector& x, int y);
 
   /// Multi-epoch training over a batch (shuffled each epoch).
@@ -43,6 +45,10 @@ class OnlineBinarySvm {
   size_t steps() const { return sgd_.steps(); }
   double bias() const { return bias_; }
   WeightVector DenseWeights() const { return sgd_.DenseWeights(); }
+  /// Current weight of one feature (see ElasticNetSgd::CurrentWeight).
+  double Weight(uint32_t id) const { return sgd_.CurrentWeight(id); }
+  /// See ElasticNetSgd::LogDecayClock.
+  double LogDecayClock() const { return sgd_.LogDecayClock(); }
 
   /// Commits pending regularization and returns the factored weight change
   /// since the previous commit (see ElasticNetSgd::CommitAll).

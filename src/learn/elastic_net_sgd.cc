@@ -22,9 +22,7 @@ double ElasticNetSgd::L2Eff() const {
   return std::max(options_.lambda_all * options_.lambda_l2_share, kMinL2);
 }
 
-double ElasticNetSgd::L1Eff() const {
-  return options_.lambda_all * (1.0 - options_.lambda_l2_share);
-}
+double ElasticNetSgd::L1Eff() const { return options_.L1Strength(); }
 
 double ElasticNetSgd::Eta(size_t t) const {
   const double effective =

@@ -34,6 +34,9 @@ struct ElasticNetOptions {
   /// never fire). The clamp floors the rate, giving bounded exponential
   /// forgetting — the standard choice for tracking drift.
   size_t step_clamp = SIZE_MAX;
+
+  /// Effective ℓ1 strength λAll·(1-λL2); 0 for an ℓ2-only model.
+  double L1Strength() const { return lambda_all * (1.0 - lambda_l2_share); }
 };
 
 /// Factored change of the weight vector between two CommitAll() calls.
@@ -86,6 +89,16 @@ class ElasticNetSgd {
   /// Number of SGD steps taken so far.
   size_t steps() const { return steps_; }
 
+  /// Current value of feature id, with its pending decay and ℓ1 penalty
+  /// applied: the value DenseWeights() reports for it. O(1).
+  double CurrentWeight(uint32_t id) const;
+
+  /// Log-decay clock Σ_{t=1..steps()} ln(1 - η_t λ2eff). Without ℓ1, a
+  /// weight last touched at step u equals its value then times
+  /// exp(clock now - clock at u), so ln|w| - clock is constant until the
+  /// gradient next touches the feature.
+  double LogDecayClock() const { return cum_log_decay_[steps_]; }
+
   /// Materializes all pending lazy regularization and returns a dense
   /// snapshot of the weights. O(dimension).
   WeightVector DenseWeights() const;
@@ -119,8 +132,6 @@ class ElasticNetSgd {
 
   /// Commits pending decay + ℓ1 for feature id up to the current step.
   void Refresh(uint32_t id);
-  /// Current (virtual) value of feature id without mutating state.
-  double CurrentWeight(uint32_t id) const;
   void EnsureFeature(uint32_t id);
   /// Starts step t = steps_+1: extends the cumulative decay/penalty tables.
   void BeginStep();

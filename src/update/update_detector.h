@@ -81,9 +81,6 @@ struct TopKOptions {
   /// ε = 0.0025, i.e. 0.5; our footrule is normalized per-list, so the
   /// threshold is calibrated on the same scale — see bench_fig8).
   double tau = 0.10;
-  /// Distance checks are O(model dimension); check every N documents
-  /// (1 = the paper's per-document behaviour, used by the Table 3 bench).
-  size_t check_interval = 1;
   ElasticNetOptions side_classifier = {.lambda_all = 0.01,
                                        .lambda_l2_share = 1.0,
                                        .step_offset = 2.0,
@@ -92,11 +89,21 @@ struct TopKOptions {
 
 /// Top-K: maintains its own online linear SVM on the same features as the
 /// ranker; compares the current top-K features against the top-K at the
-/// last model update with the generalized Spearman's footrule.
+/// last model update with the generalized Spearman's footrule, on every
+/// document (the paper's per-document behaviour).
+///
+/// A check costs O(nnz(x) + |S| log K), not O(model dimension): the
+/// detector keeps a candidate set S of features and a threshold θ such that
+/// every feature outside S has key ln|w| - LogDecayClock() ≤ θ. Without ℓ1
+/// that key changes only when the gradient touches the feature, so a check
+/// re-keys the document's ids, selects the top K from S with exact current
+/// weights, and accepts the result when the K-th key clears θ by a rounding
+/// margin. Otherwise, when S outgrows 4K, or when the side classifier has
+/// ℓ1, one O(dimension) rebuild scans every weight (DESIGN.md §17). Either
+/// way the list is bit-identical to TopKFeatures(DenseWeights(), K).
 class TopKDetector : public UpdateDetector {
  public:
-  explicit TopKDetector(TopKOptions options = {})
-      : options_(options), side_(options.side_classifier) {}
+  explicit TopKDetector(TopKOptions options = {});
 
   void OnModelUpdated(const DocumentRanker& ranker,
                       const std::vector<LabeledExample>& absorbed) override;
@@ -108,12 +115,39 @@ class TopKDetector : public UpdateDetector {
   double last_distance() const { return last_distance_; }
   double LastStatistic() const override { return last_distance_; }
 
+  /// The side classifier's top-K features as of the last Observe.
+  const std::vector<WeightedFeature>& current_topk() const {
+    return current_topk_;
+  }
+  const OnlineBinarySvm& side_classifier() const { return side_; }
+  /// Number of O(dimension) rebuilds of the candidate set so far.
+  size_t rebuilds() const { return rebuilds_; }
+
  private:
+  /// Re-keys the ids of x after the gradient touched them: adds them to S
+  /// or drops them from S against θ.
+  void Rekey(const SparseVector& x);
+  /// Sets current_topk_ from S; false when the result is not certified.
+  bool SelectFromCandidates();
+  /// Sets current_topk_ from a full scan and rebuilds S and θ.
+  void Rebuild();
+
   TopKOptions options_;
   OnlineBinarySvm side_;
+  /// Keys are order-stable: no ℓ1, and decay factors in [0, 1].
+  bool stable_keys_;
   std::vector<WeightedFeature> reference_topk_;
-  size_t since_check_ = 0;
+  std::vector<WeightedFeature> current_topk_;
+  std::vector<WeightedFeature> selection_;  // scratch for one check
   double last_distance_ = 0.0;
+
+  // Candidate set S: ids, their keys, and per id 1 + index into both
+  // (0 = outside S). Every feature outside S has key ≤ theta_.
+  double theta_;
+  std::vector<uint32_t> candidates_;
+  std::vector<double> candidate_keys_;
+  std::vector<uint32_t> candidate_slot_;
+  size_t rebuilds_ = 0;
 };
 
 struct ModCOptions {

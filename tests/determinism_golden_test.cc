@@ -7,9 +7,9 @@
 //
 // Two layers of protection:
 //   1. Cross-thread byte-stability (strict, always on): for a fixed
-//      (ranker, seed) the digest must be identical at extract_threads
-//      1, 2, and 8. Any divergence means speculation or a hash-order
-//      dependence leaked into results.
+//      (ranker, detector, seed) the digest must be identical at
+//      extract_threads 1, 2, and 8. Any divergence means speculation or a
+//      hash-order dependence leaked into results.
 //   2. Pinned golden digests: the digest must equal the recorded
 //      constant, catching silent behavior drift from refactors that
 //      "look" equivalent (map-iteration reorderings, float reassociation,
@@ -95,6 +95,7 @@ std::string RunDigest(const SharedContext& context,
 
 struct GoldenCase {
   RankerKind ranker;
+  UpdateKind update;
   uint64_t seed;
   /// Expected digest; pinned from the reference toolchain.
   const char* pinned;
@@ -107,7 +108,7 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
   const SharedContext context =
       test::MakeSharedContext(RelationId::kPersonCharge);
   PipelineConfig config = PipelineConfig::Defaults(
-      param.ranker, SamplerKind::kSRS, UpdateKind::kModC, param.seed);
+      param.ranker, SamplerKind::kSRS, param.update, param.seed);
   config.sample_size = 120;
   // The flight recorder is a passive observer: running with it on must
   // reproduce the pinned digests bit for bit (inert no-op in obs-off).
@@ -145,10 +146,24 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
 INSTANTIATE_TEST_SUITE_P(
     RankersAndSeeds, DeterminismGoldenTest,
     ::testing::Values(
-        GoldenCase{RankerKind::kRSVMIE, 1, "54f792feff0fe676"},
-        GoldenCase{RankerKind::kRSVMIE, 7, "117e9de66fedc05a"},
-        GoldenCase{RankerKind::kBAggIE, 1, "e49e16915087925a"},
-        GoldenCase{RankerKind::kBAggIE, 7, "7e3674ddc89acdb3"}));
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kModC, 1,
+                   "54f792feff0fe676"},
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kModC, 7,
+                   "117e9de66fedc05a"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kModC, 1,
+                   "e49e16915087925a"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kModC, 7,
+                   "7e3674ddc89acdb3"},
+        // Top-K rows pin the detector's trigger positions, which the
+        // processing order and update positions fold into the digest.
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kTopK, 1,
+                   "3d5f2ab59c9f1b14"},
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kTopK, 7,
+                   "398a06f128e0c7b9"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kTopK, 1,
+                   "dfbb93b5247a40bf"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kTopK, 7,
+                   "0b363c2d48e92bdc"}));
 
 }  // namespace
 }  // namespace ie

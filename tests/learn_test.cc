@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <unordered_map>
 
+#include "common/ordered.h"
 #include "common/rng.h"
 #include "learn/bagging.h"
 #include "learn/binary_svm.h"
@@ -435,6 +440,143 @@ TEST(FootruleTest, Symmetric) {
   const std::vector<WeightedFeature> a = {{0, 3.0}, {1, 1.0}, {5, 0.5}};
   const std::vector<WeightedFeature> b = {{1, 2.0}, {7, 1.5}, {0, 0.5}};
   EXPECT_NEAR(GeneralizedFootrule(a, b), GeneralizedFootrule(b, a), 1e-12);
+}
+
+// The hash-map implementation GeneralizedFootrule had before it moved to
+// flat id-sorted arrays: the oracle that the flat version must match bit
+// for bit.
+double HashMapFootrule(const std::vector<WeightedFeature>& a,
+                       const std::vector<WeightedFeature>& b) {
+  if (a.empty() && b.empty()) return 0.0;
+  std::unordered_map<uint32_t, double> wa, wb;
+  double sum_a = 0.0, sum_b = 0.0;
+  std::unordered_map<uint32_t, size_t> rank_a, rank_b;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!rank_a.emplace(a[i].id, rank_a.size()).second) continue;
+    wa[a[i].id] = a[i].weight;
+    sum_a += a[i].weight;
+  }
+  for (size_t i = 0; i < b.size(); ++i) {
+    if (!rank_b.emplace(b[i].id, rank_b.size()).second) continue;
+    wb[b[i].id] = b[i].weight;
+    sum_b += b[i].weight;
+  }
+  if (sum_a > 0.0) {
+    for (auto& [id, w] : wa) w /= sum_a;
+  }
+  if (sum_b > 0.0) {
+    for (auto& [id, w] : wb) w /= sum_b;
+  }
+  struct Item {
+    uint32_t id;
+    double weight;
+    size_t pos_a;
+    size_t pos_b;
+  };
+  const size_t tail_a = rank_a.size();
+  const size_t tail_b = rank_b.size();
+  std::vector<Item> items;
+  auto combined = [&](uint32_t id) {
+    const auto ita = wa.find(id);
+    const auto itb = wb.find(id);
+    const double va = ita == wa.end() ? 0.0 : ita->second;
+    const double vb = itb == wb.end() ? 0.0 : itb->second;
+    return 0.5 * (va + vb);
+  };
+  ForEachSorted(rank_a, [&](uint32_t id, size_t pos) {
+    const auto itb = rank_b.find(id);
+    items.push_back(
+        {id, combined(id), pos, itb == rank_b.end() ? tail_b : itb->second});
+  });
+  ForEachSorted(rank_b, [&](uint32_t id, size_t pos) {
+    if (rank_a.count(id) > 0) return;
+    items.push_back({id, combined(id), tail_a, pos});
+  });
+  auto prefix_for = [&](bool use_a) {
+    std::vector<size_t> order(items.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+      const size_t px = use_a ? items[x].pos_a : items[x].pos_b;
+      const size_t py = use_a ? items[y].pos_a : items[y].pos_b;
+      if (px != py) return px < py;
+      return items[x].id < items[y].id;
+    });
+    std::vector<double> prefix(items.size());
+    double run = 0.0;
+    for (size_t idx : order) {
+      run += items[idx].weight;
+      prefix[idx] = run;
+    }
+    return prefix;
+  };
+  const std::vector<double> pa = prefix_for(true);
+  const std::vector<double> pb = prefix_for(false);
+  double f = 0.0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    f += items[i].weight * std::fabs(pa[i] - pb[i]);
+  }
+  return f;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// A random ranked list over ids [0, id_range): duplicates whenever the
+// range is small, repeated weights, and now and then a zero weight.
+std::vector<WeightedFeature> RandomList(Rng& rng, size_t max_len,
+                                        uint32_t id_range) {
+  std::vector<WeightedFeature> list(rng.NextBounded(max_len + 1));
+  for (WeightedFeature& f : list) {
+    f.id = static_cast<uint32_t>(rng.NextBounded(id_range));
+    switch (rng.NextBounded(4)) {
+      case 0: f.weight = 0.25; break;
+      case 1: f.weight = rng.NextBounded(8) == 0 ? 0.0 : 1.0; break;
+      default: f.weight = rng.NextDouble() * 3.0; break;
+    }
+  }
+  return list;
+}
+
+TEST(FootruleParityTest, MatchesHashMapOracleOnRandomLists) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const uint32_t id_range = trial % 3 == 0 ? 8 : 300;
+    const auto a = RandomList(rng, 40, id_range);
+    const auto b = RandomList(rng, 40, id_range);
+    ASSERT_EQ(Bits(GeneralizedFootrule(a, b)), Bits(HashMapFootrule(a, b)))
+        << "trial " << trial;
+    ASSERT_EQ(Bits(GeneralizedFootrule(b, a)), Bits(HashMapFootrule(b, a)))
+        << "trial " << trial;
+  }
+}
+
+TEST(FootruleParityTest, MatchesHashMapOracleOnEdgeLists) {
+  const std::vector<WeightedFeature> empty;
+  const std::vector<WeightedFeature> dup = {
+      {4, 1.0}, {2, 0.5}, {4, 3.0}, {9, 0.5}, {2, 0.125}};
+  const std::vector<WeightedFeature> zeros = {{1, 0.0}, {3, 0.0}};
+  const std::vector<WeightedFeature> single = {{2, 7.0}};
+  const std::vector<std::vector<WeightedFeature>> lists = {empty, dup, zeros,
+                                                           single};
+  for (const auto& a : lists) {
+    for (const auto& b : lists) {
+      EXPECT_EQ(Bits(GeneralizedFootrule(a, b)), Bits(HashMapFootrule(a, b)));
+    }
+  }
+}
+
+TEST(FootruleParityTest, MatchesHashMapOracleOnTopKLists) {
+  // Lists shaped like the detector's: K distinct ids sorted by weight.
+  Rng rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    WeightVector wa, wb;
+    for (uint32_t id = 0; id < 500; ++id) {
+      if (rng.NextBounded(3) == 0) wa.Set(id, rng.NextDouble() - 0.5);
+      if (rng.NextBounded(3) == 0) wb.Set(id, rng.NextDouble() - 0.5);
+    }
+    const auto a = TopKFeatures(wa, 60);
+    const auto b = TopKFeatures(wb, 60);
+    ASSERT_EQ(Bits(GeneralizedFootrule(a, b)), Bits(HashMapFootrule(a, b)));
+  }
 }
 
 }  // namespace

@@ -19,6 +19,11 @@ python3 tools/lint_test.py
 step "lint (tools/lint.py)"
 python3 tools/lint.py
 
+step "perfbench self-test (perfbench/tests)"
+# Arithmetic, metric aggregation and output check of the end-to-end
+# benchmark (perfbench/run.py); pure Python, no build needed.
+python3 -m unittest discover -s perfbench/tests
+
 step "clang-format check (changed files)"
 if command -v clang-format >/dev/null 2>&1; then
   base="$(git merge-base HEAD origin/main 2>/dev/null || git rev-parse 'HEAD~1' 2>/dev/null || echo '')"
