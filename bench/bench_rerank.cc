@@ -1,32 +1,26 @@
-// Microbenchmark for the incremental delta re-rank engine (DESIGN.md §8)
-// and the SoA hot-path kernels behind it (DESIGN.md §14).
+// Microbenchmark for the re-rank engine (DESIGN.md §8) and the SoA
+// hot-path kernels behind it (DESIGN.md §14).
 //
 // Two modes:
 //
 //  1. google-benchmark (default): the cost of re-ranking a large pending
-//     pool after a post-warmup model update, with the factored-delta pass
-//     vs. an always-full rescore. The interesting regime is the steady
-//     state of the adaptive loop — a warmed model absorbing a small batch
-//     of observations between snapshots — where the correction support is
-//     sparse and the delta pass beats the full O(pool × features) pass by
-//     ≥2x (batch 1–2; the advantage shrinks as the absorbed batch grows,
-//     until the density fallback takes over).
+//     pool after a post-warmup model update — one full rescoring pass plus
+//     the heap rebuild — for RSVM-IE and BAgg-IE at several absorbed batch
+//     sizes between updates.
 //
 //  2. perf trajectory (--out=BENCH_rerank.json): hand-timed single-thread
 //     comparisons of the production hot paths against faithful in-bench
 //     copies of the pre-SoA implementations (AoS pair layout, per-entry
-//     bounds checks, branchy sign mass, unordered_map count/bigram
-//     tables). Emits JSON for CI trend tracking (tools/bench_trend.py)
-//     with two acceptance gates:
-//       rerank-update speedup  >= 1.5x  (incremental vs full rescore
-//                                        per model update, batch 2)
+//     bounds checks, unordered_map count/bigram tables). Emits JSON for CI
+//     trend tracking (tools/bench_trend.py) with one acceptance gate:
 //       featurize speedup      >= 1.5x  (arena + flat-hash featurizer vs
 //                                        unordered_map reference)
-//     The kernel row (fused SoA gather vs AoS reference over identically
-//     laid-out fresh copies) is informational — the gather is
-//     memory-bound, so its margin is modest — but its bitwise-identity
-//     check is mandatory: the optimizations must not change a single
-//     float bit.
+//     The kernel row (kernels::GatherDot, the gather every rescoring pass
+//     runs, vs an AoS reference over identically laid-out fresh copies) is
+//     informational — the gather is memory-bound, so its margin is modest —
+//     but its bitwise-identity check is mandatory: the optimizations must
+//     not change a single float bit. Ranking cost is gated end to end by
+//     perfbench (docs_per_cpu_s, with rerank.rank_s per layer).
 //
 // Environment knobs (on top of bench_common.h's):
 //   IE_BENCH_POOL   pending-pool size for the engine (default 10000,
@@ -85,17 +79,14 @@ std::unique_ptr<Ranker> WarmedRanker() {
 
 // One timed iteration = one model update: absorb `batch` observations
 // (untimed), then Rerank() the full pending pool. The engine is warmed with
-// an initial full pass so cached margins are valid, exactly like the
-// pipeline's post-warmup state.
+// an initial pass, exactly like the pipeline's post-warmup state.
 template <typename Ranker>
-void RunUpdateBench(benchmark::State& state, bool incremental) {
+void RunUpdateBench(benchmark::State& state) {
   SharedContext ctx = g_harness->Context(RelationId::kPersonCharge);
   auto ranker = WarmedRanker<Ranker>();
-  RerankOptions options;
-  options.incremental = incremental;
-  RerankEngine engine(ranker.get(), ctx.word_features, options);
+  RerankEngine engine(ranker.get(), ctx.word_features, RerankOptions{});
   for (DocId doc : g_pool) engine.AddCandidate(doc);
-  engine.Rerank();  // initial full pass: caches margins + sign masses
+  engine.Rerank();
 
   const size_t batch = static_cast<size_t>(state.range(0));
   size_t i = 400;
@@ -109,50 +100,18 @@ void RunUpdateBench(benchmark::State& state, bool incremental) {
     engine.Rerank();
   }
   state.counters["pool"] = static_cast<double>(g_pool.size());
-  state.counters["delta_passes"] =
-      static_cast<double>(engine.stats().delta_rescores);
-  state.counters["full_passes"] =
-      static_cast<double>(engine.stats().full_rescores);
-  state.counters["fallbacks"] =
-      static_cast<double>(engine.stats().density_fallbacks);
-  if (engine.stats().delta_rescores > 0) {
-    state.counters["touches_per_pass"] =
-        static_cast<double>(engine.stats().delta_posting_touches) /
-        static_cast<double>(engine.stats().delta_rescores);
-  }
+  state.counters["passes"] = static_cast<double>(engine.full_rescores());
 }
 
 void BM_RsvmUpdateFull(benchmark::State& state) {
-  RunUpdateBench<RsvmIeRanker>(state, /*incremental=*/false);
+  RunUpdateBench<RsvmIeRanker>(state);
 }
 BENCHMARK(BM_RsvmUpdateFull)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 
-void BM_RsvmUpdateIncremental(benchmark::State& state) {
-  RunUpdateBench<RsvmIeRanker>(state, /*incremental=*/true);
-}
-BENCHMARK(BM_RsvmUpdateIncremental)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(32)
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_BaggUpdateFull(benchmark::State& state) {
-  RunUpdateBench<BaggIeRanker>(state, /*incremental=*/false);
+  RunUpdateBench<BaggIeRanker>(state);
 }
 BENCHMARK(BM_BaggUpdateFull)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
-
-void BM_BaggUpdateIncremental(benchmark::State& state) {
-  RunUpdateBench<BaggIeRanker>(state, /*incremental=*/true);
-}
-BENCHMARK(BM_BaggUpdateIncremental)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(32)
-    ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Perf trajectory (--out): production hot paths vs faithful pre-SoA
@@ -167,24 +126,14 @@ uint64_t Bits(double x) {
 
 using AosVector = std::vector<std::pair<uint32_t, float>>;
 
-// The pre-SoA WeightVector::DotAndSignMass: iterate (id, value) pairs with
-// a per-entry bounds check, branchy sign accumulation.
-inline double RefDotAndSignMass(const std::vector<double>& w,
-                                const AosVector& x, double* sign_mass) {
+// The pre-SoA WeightVector::Dot: iterate (id, value) pairs with a
+// per-entry bounds check.
+inline double RefDot(const std::vector<double>& w, const AosVector& x) {
   double dot = 0.0;
-  double z = 0.0;
   for (const auto& [id, value] : x) {
     if (id >= w.size()) continue;
-    const double weight = w[id];
-    const double v = static_cast<double>(value);
-    dot += weight * v;
-    if (weight > 0.0) {
-      z += v;
-    } else if (weight < 0.0) {
-      z -= v;
-    }
+    dot += w[id] * static_cast<double>(value);
   }
-  *sign_mass = z;
   return dot;
 }
 
@@ -230,11 +179,6 @@ struct TrajectoryResult {
   double featurize_soa_us = 0.0;
   double featurize_speedup = 0.0;
   bool featurize_identical = false;
-  // Engine-level per-update timings (batch 2): full rescore vs the
-  // incremental delta pass. The ratio is the gated rerank-update speedup.
-  double update_full_us = 0.0;
-  double update_incremental_us = 0.0;
-  double update_speedup = 0.0;
 };
 
 template <typename Fn>
@@ -273,42 +217,25 @@ void RunKernelTrajectory(int reps, TrajectoryResult* out) {
   for (DocId id : g_pool) soa.push_back((*ctx.word_features)[id]);
 
   double ref_dot_total = 0.0;
-  double ref_sm_total = 0.0;
   const double ref_seconds = BestOfRepsSeconds(reps, [&] {
     double dot_total = 0.0;
-    double sm_total = 0.0;
-    for (const AosVector& x : aos) {
-      double sm = 0.0;
-      dot_total += RefDotAndSignMass(w, x, &sm);
-      sm_total += sm;
-    }
+    for (const AosVector& x : aos) dot_total += RefDot(w, x);
     benchmark::DoNotOptimize(dot_total);
-    benchmark::DoNotOptimize(sm_total);
     ref_dot_total = dot_total;
-    ref_sm_total = sm_total;
   });
 
   double soa_dot_total = 0.0;
-  double soa_sm_total = 0.0;
   const double soa_seconds = BestOfRepsSeconds(reps, [&] {
     double dot_total = 0.0;
-    double sm_total = 0.0;
     for (const SparseVector& x : soa) {
-      double dot = 0.0;
-      double sm = 0.0;
-      kernels::GatherDotAndSignMass(w.data(), w.size(), x.ids(), x.values(),
-                                    x.size(), &dot, &sm);
-      dot_total += dot;
-      sm_total += sm;
+      dot_total +=
+          kernels::GatherDot(w.data(), w.size(), x.ids(), x.values(), x.size());
     }
     benchmark::DoNotOptimize(dot_total);
-    benchmark::DoNotOptimize(sm_total);
     soa_dot_total = dot_total;
-    soa_sm_total = sm_total;
   });
 
-  out->kernel_identical = Bits(ref_dot_total) == Bits(soa_dot_total) &&
-                          Bits(ref_sm_total) == Bits(soa_sm_total);
+  out->kernel_identical = Bits(ref_dot_total) == Bits(soa_dot_total);
   out->kernel_reference_us = ref_seconds * 1e6;
   out->kernel_soa_us = soa_seconds * 1e6;
   out->kernel_speedup =
@@ -405,59 +332,21 @@ void RunFeaturizeTrajectory(int reps, TrajectoryResult* out) {
                out->featurize_identical ? "yes" : "NO");
 }
 
-void RunUpdateTrajectory(int reps, TrajectoryResult* out) {
-  // The gated "rerank-update" path: engine-level per-update wall time at
-  // batch 2, incremental delta pass vs always-full rescore. Both modes run
-  // on the same pool, so the ratio is scale-invariant even though the
-  // absolute times grow with IE_BENCH_POOL. Best of `reps` updates per
-  // mode.
-  SharedContext ctx = g_harness->Context(RelationId::kPersonCharge);
-  for (bool incremental : {false, true}) {
-    auto ranker = WarmedRanker<RsvmIeRanker>();
-    RerankOptions options;
-    options.incremental = incremental;
-    RerankEngine engine(ranker.get(), ctx.word_features, options);
-    for (DocId doc : g_pool) engine.AddCandidate(doc);
-    engine.Rerank();
-    size_t i = 400;
-    const double seconds = BestOfRepsSeconds(reps, [&] {
-      for (size_t b = 0; b < 2; ++b) {
-        const auto& ex = g_stream[i++ % g_stream.size()];
-        ranker->Observe(ex.features, ex.label > 0);
-      }
-      engine.Rerank();
-    });
-    (incremental ? out->update_incremental_us : out->update_full_us) =
-        seconds * 1e6;
-  }
-  out->update_speedup = out->update_incremental_us > 0.0
-                            ? out->update_full_us / out->update_incremental_us
-                            : 0.0;
-  std::fprintf(stderr,
-               "[bench_rerank] update(batch=2) over %zu docs: full=%.0fus "
-               "incremental=%.0fus speedup=%.2fx\n",
-               g_pool.size(), out->update_full_us, out->update_incremental_us,
-               out->update_speedup);
-}
-
 constexpr double kSpeedupGate = 1.5;
 
 int RunTrajectory(const std::string& out_path, int reps) {
   TrajectoryResult result;
   RunKernelTrajectory(reps, &result);
   RunFeaturizeTrajectory(reps, &result);
-  RunUpdateTrajectory(reps, &result);
 
   const bool identical = result.kernel_identical && result.featurize_identical;
-  const bool gate_passes = identical &&
-                           result.update_speedup >= kSpeedupGate &&
-                           result.featurize_speedup >= kSpeedupGate;
+  const bool gate_passes =
+      identical && result.featurize_speedup >= kSpeedupGate;
   std::fprintf(stderr,
-               "[bench_rerank] gates (>=%.1fx, bit-identical): "
-               "rerank-update=%.2fx featurize=%.2fx (kernel=%.2fx info) "
-               "-> %s\n",
-               kSpeedupGate, result.update_speedup, result.featurize_speedup,
-               result.kernel_speedup, gate_passes ? "PASS" : "FAIL");
+               "[bench_rerank] gate (>=%.1fx, bit-identical): "
+               "featurize=%.2fx (kernel=%.2fx info) -> %s\n",
+               kSpeedupGate, result.featurize_speedup, result.kernel_speedup,
+               gate_passes ? "PASS" : "FAIL");
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -479,11 +368,6 @@ int RunTrajectory(const std::string& out_path, int reps) {
                "\"speedup\": %.3f},\n",
                result.featurize_docs, result.featurize_reference_us,
                result.featurize_soa_us, result.featurize_speedup);
-  std::fprintf(out,
-               "  \"update_batch2\": {\"full_us\": %.1f, "
-               "\"incremental_us\": %.1f, \"speedup\": %.3f},\n",
-               result.update_full_us, result.update_incremental_us,
-               result.update_speedup);
   std::fprintf(out, "  \"gate_threshold\": %.2f,\n  \"gate\": \"%s\"\n}\n",
                kSpeedupGate, gate_passes ? "PASS" : "FAIL");
   std::fclose(out);

@@ -1,7 +1,7 @@
 // Experiment harness shared by the table/figure benches: builds the corpus,
 // trains extractors, caches verdicts, prepares featurized pools, the
 // test-split search index, CQS query lists (learned on an auxiliary corpus,
-// the TREC substitute), and assembles PipelineContexts.
+// the TREC substitute), and assembles SharedContexts.
 #pragma once
 
 #include <map>
@@ -29,7 +29,8 @@ class Harness {
     // the experiments use plain log-TF features; see the ablation bench.
     word_features_ = FeaturizePool(world_.corpus, featurizer_,
                                    SetupThreads());
-    index_ = BuildPoolIndex(world_.corpus, world_.corpus.splits().test);
+    index_ = BuildCompactPoolIndex(world_.corpus, world_.corpus.splits().test,
+                                   SetupThreads());
     std::fprintf(stderr, "[setup] features+index (%.1fs)\n",
                  timer.ElapsedSeconds());
   }
@@ -129,7 +130,7 @@ class Harness {
   World world_;
   Featurizer featurizer_;
   std::vector<SparseVector> word_features_;
-  InvertedIndex index_;
+  CompactIndex index_;
   std::unique_ptr<Corpus> aux_corpus_;
   std::optional<Featurizer> aux_featurizer_;
   std::map<RelationId, std::vector<std::vector<std::string>>> cqs_lists_;

@@ -13,7 +13,6 @@
 #include "corpus/corpus.h"
 #include "extract/extraction_system.h"
 #include "index/compact_index.h"
-#include "index/inverted_index.h"
 #include "pipeline/result.h"
 #include "ranking/learned_rankers.h"
 #include "text/featurizer.h"
@@ -67,16 +66,6 @@ struct PipelineConfig {
   /// unconsumed). Also the size of the popped-but-unconsumed lookahead the
   /// loop returns to the engine (RerankEngine::Requeue) before a re-rank.
   size_t prefetch_window = 64;
-
-  /// Incremental delta re-ranking (see pipeline/rerank_engine.h): on model
-  /// updates, advance cached per-document margins through the factored
-  /// weight delta instead of rescoring the whole remaining pool. Orders
-  /// are identical in both modes; false forces always-full rescoring.
-  bool incremental_rerank = true;
-  /// Density fallback threshold (RerankOptions::density_threshold): delta
-  /// passes whose correction posting mass exceeds this multiple of
-  /// components × pending postings run as full rescores instead.
-  double rerank_density_threshold = 1.0;
 
   /// Search-interface scenario parameters.
   size_t search_initial_queries = 20;
@@ -156,9 +145,6 @@ struct IE_SHARED_IMMUTABLE SharedContext {
   const ExtractionSystem* extraction_system = nullptr;
 };
 
-/// Pre-split name; new code should say SharedContext.
-using PipelineContext = SharedContext;
-
 /// Precomputes word features for every document of the corpus. With
 /// `threads` > 1 documents are featurized in parallel with results
 /// identical to the serial pass: each document owns its output slot, its
@@ -174,14 +160,10 @@ std::vector<SparseVector> FeaturizePool(const Corpus& corpus,
 /// result is exactly the serial one.
 std::vector<float> ComputeIdf(const Corpus& corpus, size_t threads = 1);
 
-/// Builds an index over the pool documents (the uncompressed reference
-/// backend; SharedContext::index accepts either backend).
-InvertedIndex BuildPoolIndex(const Corpus& corpus,
-                             const std::vector<DocId>& pool);
-
-/// Builds the compressed scale backend over the pool documents (finalized,
-/// ready to search). Byte-identical retrieval to BuildPoolIndex's result
-/// at any build_threads count (the shards encode independently).
+/// Builds the compressed search index over the pool documents (finalized,
+/// ready to search). Byte-identical retrieval to an InvertedIndex over the
+/// same documents at any build_threads count (the shards encode
+/// independently).
 CompactIndex BuildCompactPoolIndex(const Corpus& corpus,
                                    const std::vector<DocId>& pool,
                                    size_t build_threads = 1);

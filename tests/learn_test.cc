@@ -162,40 +162,27 @@ TEST(ElasticNetSgdTest, StepClampKeepsLearningRateAlive) {
   EXPECT_GT(a.Score(fresh), 10.0 * b.Score(fresh));
 }
 
-TEST(ElasticNetSgdTest, FactoredCommitDeltaTracksScores) {
-  // The incremental re-rank engine advances cached margins m = w·x and sign
-  // masses z = Σ sign(w)·x through the factored delta of CommitAll():
-  //   m' = scale·m − penalty·z + margin_correction·x
-  //   z' = z + sign_correction·x
-  // Verify that against direct scoring with the committed dense weights.
+TEST(ElasticNetSgdTest, CommitKeepsCurrentWeightsBitExact) {
+  // Scoring snapshots commit pending regularization in place; the commit
+  // must not move any weight by even one bit, or later rounding — and with
+  // it every golden hash — would drift. ℓ1 is on, so the commit applies
+  // pending soft-thresholding as well as decay.
   ElasticNetSgd sgd({.lambda_all = 0.05, .lambda_l2_share = 0.9});
   SeparableData data(200, 17);
-  for (size_t i = 0; i < 80; ++i) {
+  for (size_t i = 0; i < 120; ++i) {
     sgd.Step(data.examples[i].features, data.examples[i].label);
   }
-  sgd.CommitAll();  // baseline snapshot
-  const WeightVector w1 = sgd.DenseWeights();
-
-  std::vector<double> m, z;
-  for (size_t i = 0; i < 20; ++i) {
-    m.push_back(w1.Dot(data.examples[i].features));
-    z.push_back(w1.SignMass(data.examples[i].features));
+  const WeightVector before = sgd.DenseWeights();
+  ASSERT_GT(before.NonZeroCount(), 0u);
+  std::vector<double> current;
+  for (uint32_t id = 0; id < before.dimension(); ++id) {
+    current.push_back(sgd.CurrentWeight(id));
   }
-
-  for (size_t i = 80; i < 200; ++i) {
-    sgd.Step(data.examples[i].features, data.examples[i].label);
-  }
-  const FactoredWeightDelta delta = sgd.CommitAll();
-  const WeightVector w2 = sgd.DenseWeights();
-  EXPECT_FALSE(delta.identity());
-
-  for (size_t i = 0; i < 20; ++i) {
-    const SparseVector& x = data.examples[i].features;
-    const double advanced = delta.scale * m[i] - delta.penalty * z[i] +
-                            DeltaDot(delta.margin_correction, x);
-    EXPECT_NEAR(advanced, w2.Dot(x), 1e-10) << "doc " << i;
-    const double sign_advanced = z[i] + DeltaDot(delta.sign_correction, x);
-    EXPECT_NEAR(sign_advanced, w2.SignMass(x), 1e-12) << "doc " << i;
+  sgd.CommitAll();
+  for (uint32_t id = 0; id < before.dimension(); ++id) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(sgd.CurrentWeight(id)),
+              std::bit_cast<uint64_t>(current[id]))
+        << "feature " << id;
   }
 }
 
@@ -204,9 +191,16 @@ TEST(ElasticNetSgdTest, CommitAllIsIdempotentIdentity) {
   SeparableData data(40, 3);
   for (const auto& ex : data.examples) sgd.Step(ex.features, ex.label);
   sgd.CommitAll();
-  // No steps between commits: the delta must be the exact identity.
-  const FactoredWeightDelta delta = sgd.CommitAll();
-  EXPECT_TRUE(delta.identity());
+  const WeightVector once = sgd.DenseWeights();
+  // No steps between commits: the second commit must change nothing.
+  sgd.CommitAll();
+  const WeightVector twice = sgd.DenseWeights();
+  ASSERT_EQ(once.dimension(), twice.dimension());
+  for (uint32_t id = 0; id < once.dimension(); ++id) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(once.Get(id)),
+              std::bit_cast<uint64_t>(twice.Get(id)))
+        << "feature " << id;
+  }
 }
 
 TEST(ElasticNetSgdTest, CopyIsIndependent) {

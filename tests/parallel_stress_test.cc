@@ -98,8 +98,8 @@ TEST(ParallelStressTest, ExceptionChurn) {
 }
 
 // The real consumer: the pipeline's threaded bulk re-rank. Scored slots are
-// written concurrently, then sorted; the result must be byte-identical to
-// the serial run, every time, under contention.
+// written concurrently, then heaped into the frontier; the result must be
+// byte-identical to the serial run, every time, under contention.
 TEST(ParallelStressTest, ThreadedRerankMatchesSerialRepeatedly) {
   const SharedContext context =
       test::MakeSharedContext(RelationId::kPersonCharge);

@@ -7,8 +7,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.h"
 #include "corpus/generator.h"
 #include "extract/extraction_system.h"
+#include "index/inverted_index.h"
 #include "pipeline/pipeline.h"
 
 namespace ie::test {
@@ -70,6 +72,17 @@ inline const std::vector<SparseVector>& SharedWordFeatures() {
   static const auto* features = new std::vector<SparseVector>(
       FeaturizePool(SharedCorpus(), SharedFeaturizer(), 2));
   return *features;
+}
+
+/// Uncompressed reference index over the pool documents: the oracle the
+/// production CompactIndex (BuildCompactPoolIndex) is checked against.
+inline InvertedIndex BuildPoolIndex(const Corpus& corpus,
+                                    const std::vector<DocId>& pool) {
+  InvertedIndex index;
+  for (DocId id : pool) {
+    IE_CHECK(index.Add(corpus.doc(id)).ok());
+  }
+  return index;
 }
 
 /// Search index over the shared corpus test split.

@@ -5,7 +5,7 @@ Compares fresh bench JSON outputs against the committed baselines at the
 repo root (BENCH_rerank.json, BENCH_extract.json, BENCH_index.json) and
 fails on regressions of the *gated* metrics:
 
-  rerank   update_batch2.speedup, featurize.speedup   (>= gate, trend)
+  rerank   featurize.speedup                          (>= gate, trend)
   extract  speedup_at_8                               (trend, when gated)
   index    per-tier compression_ratio                 (>= gate, trend)
 
@@ -93,9 +93,6 @@ def compare_rerank(fresh, base, tolerance):
     check_invariants("rerank", fresh)
     threshold = fresh.get("gate_threshold", 1.5)
     gated = [
-        ("update_batch2.speedup",
-         fresh.get("update_batch2", {}).get("speedup"),
-         (base or {}).get("update_batch2", {}).get("speedup")),
         ("featurize.speedup",
          fresh.get("featurize", {}).get("speedup"),
          (base or {}).get("featurize", {}).get("speedup")),

@@ -76,16 +76,17 @@ step "golden-hash determinism matrix (rankers x seeds x threads)"
 ctest --test-dir build-default -R 'DeterminismGoldenTest' \
     --output-on-failure -j "$JOBS"
 
-step "bench_rerank smoke (incremental re-rank engine)"
-# One iteration per configuration on a small corpus: verifies the delta
-# passes engage (counters) and the bench harness itself stays healthy.
+step "bench_rerank smoke (re-rank engine update passes)"
+# One iteration per configuration on a small corpus: the post-update full
+# rescoring pass runs for both learned rankers and the bench harness itself
+# stays healthy.
 IE_BENCH_DOCS=4000 ./build-default/bench/bench_rerank \
     --benchmark_min_time=1x --benchmark_filter='/(1|8)$'
 
 step "bench_rerank perf trajectory (SoA kernels + arena featurizer)"
 # Hand-timed production-vs-reference comparisons (DESIGN.md §14): re-proves
-# bitwise-identical outputs and enforces the >=1.5x gates on the
-# rerank-update and featurize paths, at smoke scale.
+# bitwise-identical outputs and enforces the >=1.5x featurize gate, at smoke
+# scale. Ranking cost is gated end to end by perfbench.
 IE_BENCH_DOCS=4000 ./build-default/bench/bench_rerank \
     --out=build-default/BENCH_rerank.json --reps=3
 
