@@ -2,7 +2,7 @@
 // for progress; tests typically run at WARN.
 //
 // Thread safety: the global level is an atomic (relaxed loads/stores), so
-// Get/SetLogLevel may race freely — executor workers log concurrently with
+// Get/SetLogLevel may race freely — worker threads log concurrently with
 // the main loop, and a worker may observe a level change slightly late,
 // never a torn value. Each message is buffered whole in its LogMessage and
 // written to std::cerr in one call; interleaving between concurrent

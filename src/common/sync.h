@@ -1,5 +1,5 @@
 // Capability-annotated synchronization primitives (DESIGN.md §11). The
-// only sanctioned mutex/condvar types in this codebase: wrapping the std
+// only sanctioned mutex types in this codebase: wrapping the std
 // primitives in annotated classes is what lets Clang Thread Safety
 // Analysis prove at compile time that every GUARDED_BY field is touched
 // with the right lock held — the `thread-safety` preset and the
@@ -15,16 +15,8 @@
 //   Map map_ GUARDED_BY(smu_);
 //   { ReaderLock lock(smu_); map_.find(k); }      // shared read
 //   { WriterLock lock(smu_); map_.emplace(...); } // exclusive write
-//
-//   ie::CondVar cv_;
-//   { MutexLock lock(mu_); while (!ready_) cv_.Wait(mu_); }
-//
-// Waiting is deliberately loop-shaped (no predicate-lambda overload): the
-// predicate reads guarded fields, and only an explicit `while` in the
-// locked scope lets the analysis see those reads happen under the lock.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
 
@@ -46,7 +38,6 @@ class CAPABILITY("mutex") Mutex {
   bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -105,31 +96,6 @@ class SCOPED_CAPABILITY WriterLock {
 
  private:
   SharedMutex& mu_;
-};
-
-/// Condition variable bound to ie::Mutex. Wait atomically releases and
-/// reacquires the mutex through its *underlying* std::mutex, which is
-/// invisible to the analysis — REQUIRES(mu) on the declaration is the
-/// whole contract, so no analysis escape is needed anywhere.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Caller must hold `mu`; holds it again on return. Spurious wakeups
-  /// happen — always wait in a `while (!predicate)` loop.
-  void Wait(Mutex& mu) REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();  // the capability stays conceptually held throughout
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace ie

@@ -21,7 +21,7 @@ constexpr uint64_t kBoundary = 0xfffffffffffffffULL;
 
 // Reusable per-thread Viterbi scratch: flat DP tables grown to the longest
 // sentence a thread has decoded, instead of a fresh vector<array> pair per
-// sentence. thread_local because the speculative extraction executor runs
+// sentence. thread_local because ExtractionOutcomes::Compute runs
 // Viterbi concurrently on worker threads; every cell read is written
 // earlier in the same call, so reuse never leaks state between sentences
 // (tests/ner_test.cc pins this).

@@ -30,7 +30,7 @@ class ExtractionSystem {
   /// relation classification. Duplicate tuples are collapsed. Pure and
   /// safe to call concurrently for distinct documents (recognizers and the
   /// relation extractor are immutable after training), which is what lets
-  /// the speculative extraction executor run it on worker threads.
+  /// ExtractionOutcomes::Compute run it on worker threads.
   std::vector<ExtractedTuple> Process(const Document& doc) const;
 
   const RelationSpec& spec() const { return spec_; }

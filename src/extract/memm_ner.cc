@@ -89,8 +89,8 @@ void MemmNer::Train(const std::vector<TaggedSentence>& data, uint64_t seed) {
 std::vector<uint8_t> MemmNer::Label(const Sentence& sentence) const {
   const size_t n = sentence.tokens.size();
   std::vector<uint8_t> labels(n, kO);
-  // Per-thread feature scratch (the extraction executor decodes on worker
-  // threads); fully rewritten by CollectFeatures at every position.
+  // Per-thread feature scratch (ExtractionOutcomes::Compute decodes on
+  // worker threads); fully rewritten by CollectFeatures at every position.
   thread_local std::vector<uint32_t> features;
   uint8_t prev = kO;
   for (size_t pos = 0; pos < n; ++pos) {

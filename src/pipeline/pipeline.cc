@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <functional>
 #include <unordered_set>
 #include <utility>
@@ -14,7 +13,6 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "learn/feature_selection.h"
-#include "pipeline/extract_executor.h"
 #include "pipeline/recorder.h"
 #include "pipeline/rerank_engine.h"
 #include "pipeline/session.h"
@@ -188,10 +186,7 @@ double WeightDeltaNormSquared(const WeightVector& a, const WeightVector& b) {
   return sq;
 }
 
-/// The run proper. Kept separate from Run() so the ExtractExecutor (and its
-/// worker threads) are joined — via `executor`'s destructor at the end of
-/// this scope — before Run() exports the trace and snapshots the registry:
-/// both reads then observe fully quiesced writers.
+/// The run proper. Run() wraps it in the trace and metrics sessions.
 PipelineResult RunImpl(const SharedContext& context,
                        const PipelineConfig& config) {
   IE_TRACE_SCOPE("pipeline.run");
@@ -212,19 +207,20 @@ PipelineResult RunImpl(const SharedContext& context,
   result.pool_size = context.pool->size();
   result.pool_useful = context.outcomes->CountUseful(*context.pool);
 
-  // Attribute-feature ids are interned on first use; with speculative
-  // workers that order would depend on scheduling. Intern them in pool
-  // order up front so feature ids — and every float accumulated in id
-  // order downstream — are identical at any extract_threads setting.
+  // Attribute-feature ids are interned on first use. Intern them in pool
+  // order up front, so a feature id does not depend on which documents
+  // the run consumes or in what order: the ids — and every float
+  // accumulated in id order downstream, and so the golden digests — are
+  // fixed by the pool alone.
   for (DocId id : *context.pool) {
     for (const std::string& value : context.outcomes->AttributeValues(id)) {
       context.featurizer->AttributeFeatureId(value);
     }
   }
 
-  // Pure per-document extraction: everything that depends only on the
-  // document itself. Runs on executor workers (or inline when serial);
-  // bookkeeping stays on the consumer thread in `consume` below.
+  // Per-document extraction: everything that depends only on the document
+  // itself. `consume` below runs it inline, one document at a time in
+  // ranked order, and does the run's bookkeeping.
   auto extract_example = [&context](DocId id) -> LabeledExample {
     bool useful;
     std::vector<std::string> attrs;
@@ -243,20 +239,13 @@ PipelineResult RunImpl(const SharedContext& context,
     }
     return {(*context.word_features)[id], -1};
   };
-  ExtractExecutorOptions executor_options;
-  executor_options.threads = config.extract_threads;
-  executor_options.prefetch_window = config.prefetch_window;
-  ExtractExecutor executor(extract_example, executor_options);
-  const size_t window =
-      executor.speculative() ? std::max<size_t>(1, config.prefetch_window)
-                             : 1;
 
   // ---- Flight recorder (DESIGN.md §15) ---------------------------------
   // Passive observer of the loop below: when active, every consumed
   // document ends its iteration with one RecordIteration() sampling the
-  // detector, engine, executor, and arena. It never feeds back into
-  // control flow, so recorded and unrecorded runs are byte-identical
-  // (asserted by the golden-hash matrix, which runs recorder-on).
+  // detector, engine, and arena. It never feeds back into control flow,
+  // so recorded and unrecorded runs are byte-identical (asserted by the
+  // golden-hash matrix, which runs recorder-on).
   session.recorder = std::make_unique<PipelineRecorder>([&config] {
     PipelineRecorder::Options options;
     options.ledger_path = config.ledger_path;
@@ -273,7 +262,6 @@ PipelineResult RunImpl(const SharedContext& context,
     info.seed = config.seed;
     info.pool_size = context.pool->size();
     info.sample_size = std::min(config.sample_size, context.pool->size());
-    info.extract_threads = config.extract_threads;
     info.scoring_threads = config.scoring_threads;
     session.recorder->BeginRun(info);
   }
@@ -305,12 +293,6 @@ PipelineResult RunImpl(const SharedContext& context,
     update_dw = 0.0;
     update_dw_c.clear();
     if (engine_ptr != nullptr) rec.full_rescores = engine_ptr->full_rescores();
-    const ExtractExecutorStats executor_stats = executor.stats();
-    rec.executor_hits = executor_stats.hits;
-    rec.executor_waits = executor_stats.waits;
-    rec.executor_misses = executor_stats.misses;
-    rec.executor_cancelled = executor_stats.cancelled;
-    rec.queue_depth = executor.queue_depth();
     rec.arena_bytes = Arena::ProcessReservedBytes();
     session.recorder->RecordIteration(std::move(rec));
   };
@@ -318,28 +300,29 @@ PipelineResult RunImpl(const SharedContext& context,
   WallTimer extract_wall;
   std::unordered_set<DocId> processed;
   auto consume = [&](DocId id) -> LabeledExample {
-    LabeledExample example = executor.Take(id);
+    LabeledExample example;
+    {
+      IE_TRACE_SCOPE("pipeline.extract");
+      CpuTimer timer;
+      example = extract_example(id);
+      const double cpu = timer.ElapsedSeconds();
+      IE_METRIC_HIST_OBSERVE("pipeline.extract_seconds", cpu);
+      result.extract_cpu_seconds += cpu;
+    }
     result.extraction_seconds += context.relation->extraction_cost_seconds;
     result.processing_order.push_back(id);
     result.processed_useful.push_back(example.label > 0 ? 1 : 0);
     processed.insert(id);
     return example;
   };
-  // Consumes `ids` front to back, keeping up to `window` documents
-  // prefetched ahead of the cursor (used for the fixed-order phases:
-  // warmup sample and search-interface leftovers). These phases have no
-  // detector/update step, so the iteration record is sampled right after
-  // the consume.
+  // Consumes `ids` front to back (the fixed-order phases: warmup sample
+  // and search-interface leftovers). These phases have no detector/update
+  // step, so the iteration record is sampled right after the consume.
   auto consume_in_order = [&](const std::vector<DocId>& ids,
                               std::vector<LabeledExample>* out) {
-    size_t next_prefetch = 0;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      for (; next_prefetch < ids.size() && next_prefetch < i + window;
-           ++next_prefetch) {
-        executor.Prefetch(ids[next_prefetch]);
-      }
-      LabeledExample example = consume(ids[i]);
-      record_iteration(ids[i], example.label > 0);
+    for (DocId id : ids) {
+      LabeledExample example = consume(id);
+      record_iteration(id, example.label > 0);
       if (out != nullptr) out->push_back(std::move(example));
     }
   };
@@ -451,27 +434,12 @@ PipelineResult RunImpl(const SharedContext& context,
   rerank();
 
   // ---- Extraction loop ---------------------------------------------------
-  // The loop pops a lookahead window of the ranked frontier and prefetches
-  // its extraction onto the executor while consuming strictly in popped
-  // (= ranked) order. On a model update the unconsumed lookahead is
-  // returned to the engine first, so the re-rank sees exactly the pending
-  // set a serial run would — and any speculative results it already has
-  // for demoted documents are simply consumed later.
+  // Pops the ranked frontier one document at a time and consumes it; a
+  // model update re-ranks what is still pending before the next pop.
   std::vector<LabeledExample> buffer;
   size_t peak_buffer_examples = 0;
-  std::deque<DocId> lookahead;
-  auto fill_lookahead = [&]() {
-    DocId next_doc = 0;
-    while (lookahead.size() < window && session.engine->PopNext(&next_doc)) {
-      executor.Prefetch(next_doc);
-      lookahead.push_back(next_doc);
-    }
-  };
-  fill_lookahead();
   TraceSpan consume_span("pipeline.consume");
-  while (!lookahead.empty()) {
-    const DocId id = lookahead.front();
-    lookahead.pop_front();
+  for (DocId id = 0; session.engine->PopNext(&id);) {
     LabeledExample example = consume(id);
     const bool useful = example.label > 0;
 
@@ -489,13 +457,6 @@ PipelineResult RunImpl(const SharedContext& context,
       peak_buffer_examples = std::max(peak_buffer_examples, buffer.size());
     }
 
-    if (triggered && adaptive) {
-      while (!lookahead.empty()) {
-        session.engine->Requeue(lookahead.back());
-        lookahead.pop_back();
-      }
-      executor.CancelQueued();
-    }
     if (triggered && adaptive && session.engine->pending() > 0) {
       IE_TRACE_SCOPE("pipeline.update");
       IE_METRIC_COUNT("pipeline.updates");
@@ -567,7 +528,6 @@ PipelineResult RunImpl(const SharedContext& context,
       }
     }
     record_iteration(id, useful);
-    fill_lookahead();
   }
 
   // Search-interface scenario: documents never retrieved by any query are
@@ -584,19 +544,10 @@ PipelineResult RunImpl(const SharedContext& context,
   }
   result.extract_wall_seconds = extract_wall.ElapsedSeconds();
 
-  // Stamp the run-scoped counters from the exact per-run stats structs —
-  // not from the global registry, whose counters of the same names
-  // aggregate across concurrent runs. The result accessors
-  // (speculative_hits() etc.) read these, so they are written even when
-  // config.metrics_enabled is false.
-  const ExtractExecutorStats executor_stats = executor.stats();
-  result.extract_cpu_seconds =
-      executor_stats.worker_cpu_seconds + executor_stats.inline_cpu_seconds;
-  result.metrics.SetCounter("executor.hits", executor_stats.hits);
-  result.metrics.SetCounter("executor.waits", executor_stats.waits);
-  result.metrics.SetCounter("executor.misses", executor_stats.misses);
-  result.metrics.SetCounter("executor.cancelled", executor_stats.cancelled);
-
+  // Stamp the run-scoped counters from the run's own state — not from the
+  // global registry, whose counters of the same names aggregate across
+  // concurrent runs. The result accessors (full_rescores() etc.) read
+  // these, so they are written even when config.metrics_enabled is false.
   result.metrics.SetCounter("rerank.full_rescores",
                             session.engine->full_rescores());
   result.metrics.SetCounter("pipeline.peak_buffer_examples",
@@ -633,9 +584,8 @@ PipelineResult RunImpl(const SharedContext& context,
 
 PipelineResult AdaptiveExtractionPipeline::Run(
     const SharedContext& context, const PipelineConfig& config) {
-  // Trace/metrics sessions wrap RunImpl so that by the time we export the
-  // trace and snapshot the registry, RunImpl's executor destructor has
-  // joined every worker thread (quiesced writers; race-free reads).
+  // Trace/metrics sessions wrap RunImpl: the trace export and the closing
+  // registry snapshot cover exactly this run's loop.
   const bool tracing =
       !config.trace_path.empty() &&
       Tracer::Global().Start(config.trace_buffer_events);

@@ -55,18 +55,6 @@ struct PipelineConfig {
   /// ParallelFor and reports re-rank overhead in wall time).
   size_t scoring_threads = 1;
 
-  /// Worker threads for speculative per-document extraction (see
-  /// pipeline/extract_executor.h). <= 1 runs extraction inline on the
-  /// consumer thread (the serial reference). Results are byte-identical at
-  /// every thread count — per-document extraction is pure and consumption
-  /// stays strictly in ranked order.
-  size_t extract_threads = 1;
-  /// How far ahead of the ranked frontier the executor may speculate:
-  /// maximum outstanding prefetched documents (queued + running + done but
-  /// unconsumed). Also the size of the popped-but-unconsumed lookahead the
-  /// loop returns to the engine (RerankEngine::Requeue) before a re-rank.
-  size_t prefetch_window = 64;
-
   /// Search-interface scenario parameters.
   size_t search_initial_queries = 20;
   size_t search_initial_depth = 400;
@@ -75,8 +63,8 @@ struct PipelineConfig {
 
   /// Populate PipelineResult::metrics with this run's delta against the
   /// process-wide MetricsRegistry (counters, gauges, latency histograms).
-  /// The exact run-scoped counters (rerank.*, executor.*) are stamped
-  /// regardless, so the result accessors always work. No-op when
+  /// The exact run-scoped counters (rerank.full_rescores, pipeline.*) are
+  /// stamped regardless, so the result accessors always work. No-op when
   /// IE_OBSERVABILITY is compiled out.
   bool metrics_enabled = true;
   /// When non-empty, the run records begin/end spans + counter tracks into
@@ -140,8 +128,8 @@ struct IE_SHARED_IMMUTABLE SharedContext {
   /// real IE system (NER → relation classification) instead of replaying
   /// the outcome cache — byte-identical verdicts (Process is
   /// deterministic; `outcomes` stays required for pool statistics and the
-  /// Perfect oracle) but real per-document CPU, which is what the
-  /// speculative executor parallelizes. See bench/bench_extract.cc.
+  /// Perfect oracle) but real per-document CPU, charged to
+  /// PipelineResult::extract_cpu_seconds. See bench/bench_extract.cc.
   const ExtractionSystem* extraction_system = nullptr;
 };
 

@@ -3,7 +3,7 @@
 // (locale-independent, round-trip exact; DESIGN.md §12).
 //
 // Ledger schema (one JSON object per line; DESIGN.md §15):
-//   {"type":"header","schema":2,...run metadata...}
+//   {"type":"header","schema":3,...run metadata...}
 //   {"type":"iter","i":1,...one IterationRecord...}   × N, flushed each
 //   {"type":"end",...run totals...}                   absent if crashed
 #include "pipeline/recorder.h"
@@ -97,7 +97,7 @@ void PipelineRecorder::WriteLedgerLine() {
 
 void PipelineRecorder::BeginRun(const RecorderRunInfo& info) {
   if (ledger_ == nullptr) return;
-  line_ = "{\"type\":\"header\",\"schema\":2";
+  line_ = "{\"type\":\"header\",\"schema\":3";
   AppendKeyString(&line_, "ranker", info.ranker);
   AppendKeyString(&line_, "sampler", info.sampler);
   AppendKeyString(&line_, "update", info.update);
@@ -105,7 +105,6 @@ void PipelineRecorder::BeginRun(const RecorderRunInfo& info) {
   AppendKeyUint(&line_, "seed", info.seed);
   AppendKeyUint(&line_, "pool_size", info.pool_size);
   AppendKeyUint(&line_, "sample_size", info.sample_size);
-  AppendKeyUint(&line_, "extract_threads", info.extract_threads);
   AppendKeyUint(&line_, "scoring_threads", info.scoring_threads);
   line_.push_back('}');
   WriteLedgerLine();
@@ -133,11 +132,6 @@ void PipelineRecorder::RecordIteration(IterationRecord record) {
       line_.push_back(']');
     }
     AppendKeyUint(&line_, "full_rescores", record.full_rescores);
-    AppendKeyUint(&line_, "hits", record.executor_hits);
-    AppendKeyUint(&line_, "waits", record.executor_waits);
-    AppendKeyUint(&line_, "misses", record.executor_misses);
-    AppendKeyUint(&line_, "cancelled", record.executor_cancelled);
-    AppendKeyUint(&line_, "queue", record.queue_depth);
     AppendKeyUint(&line_, "arena", record.arena_bytes);
     line_.push_back('}');
     WriteLedgerLine();

@@ -2,8 +2,7 @@
 // per iteration (one consumed document) the pipeline samples a full
 // IterationRecord across its collaborators — usefulness so far, the
 // detector's drift statistic and retrain decision, exact per-component
-// ‖Δw‖ at updates, the re-rank engine's pass count, executor
-// hit/wait/miss/cancel totals, speculative queue depth, and process arena
+// ‖Δw‖ at updates, the re-rank engine's pass count, and process arena
 // bytes — and the recorder fans it out to two sinks:
 //
 //   1. a crash-safe JSONL run ledger (one line per iteration, flushed per
@@ -65,14 +64,8 @@ struct IterationRecord {
   /// (RSVM-IE: one entry; BAgg-IE: one per committee member).
   double weight_delta_norm = 0.0;
   std::vector<double> component_delta_norms;
-  uint64_t full_rescores = 0;   // cumulative RerankEngine passes
-  uint64_t executor_hits = 0;   // cumulative ExtractExecutorStats
-  uint64_t executor_waits = 0;
-  uint64_t executor_misses = 0;
-  uint64_t executor_cancelled = 0;
-  /// Speculative tasks queued behind the frontier right now (not
-  /// cumulative), and process-wide arena bytes reserved right now.
-  uint64_t queue_depth = 0;
+  uint64_t full_rescores = 0;  // cumulative RerankEngine passes
+  /// Process-wide arena bytes reserved right now (not cumulative).
   uint64_t arena_bytes = 0;
 };
 
@@ -86,7 +79,6 @@ struct RecorderRunInfo {
   uint64_t seed = 0;
   uint64_t pool_size = 0;
   uint64_t sample_size = 0;
-  uint64_t extract_threads = 1;
   uint64_t scoring_threads = 1;
 };
 

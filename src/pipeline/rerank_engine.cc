@@ -89,16 +89,6 @@ void RerankEngine::RebuildHeap() {
   std::make_heap(heap_.begin(), heap_.end(), HeapEntryLess);
 }
 
-void RerankEngine::Requeue(DocId doc) {
-  IE_CHECK(doc < slot_of_doc_.size() && slot_of_doc_[doc] != kNoSlot);
-  const uint32_t slot = slot_of_doc_[doc];
-  IE_CHECK(slots_[slot].processed);
-  slots_[slot].processed = false;
-  ++pending_;
-  heap_.push_back(HeapEntry{slots_[slot].score, slot});
-  std::push_heap(heap_.begin(), heap_.end(), HeapEntryLess);
-}
-
 bool RerankEngine::PopNext(DocId* doc) {
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), HeapEntryLess);

@@ -46,13 +46,6 @@ class RerankEngine {
   /// Pops the best pending candidate; false when the pool is exhausted.
   bool PopNext(DocId* doc);
 
-  /// Returns a popped-but-unconsumed candidate to the pending pool (the
-  /// speculative extraction loop pops a lookahead window and pushes the
-  /// unconsumed remainder back before re-ranking). The document keeps its
-  /// original insertion slot — and hence its tie-break position — and its
-  /// last score.
-  void Requeue(DocId doc);
-
   size_t pending() const { return pending_; }
   /// Rescoring passes run so far (one per Rerank()).
   size_t full_rescores() const { return full_rescores_; }

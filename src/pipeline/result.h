@@ -30,14 +30,13 @@ struct PipelineResult {
   std::vector<size_t> update_positions;
 
   /// Simulated extraction time (per-document cost model). Deterministic —
-  /// one charge per consumed document regardless of extract_threads — so
-  /// cost metrics stay comparable across thread counts.
+  /// one charge per consumed document — so cost metrics stay comparable
+  /// across runs and hosts.
   double extraction_seconds = 0.0;
-  /// Measured per-document extraction CPU: the sum of thread-CPU timers
-  /// around each document's extraction wherever it ran (executor workers
-  /// or inline). Unlike wall time this does not shrink with speculation;
-  /// it is the run's real extraction work. 0 unless the run did real work
-  /// (live extraction or featurization of useful documents).
+  /// Measured per-document extraction CPU: the sum of the thread-CPU
+  /// timers around each consumed document's extraction, which runs inline
+  /// on the pipeline thread in ranked order. Near 0 unless the run did
+  /// real work (live extraction or featurization of useful documents).
   double extract_cpu_seconds = 0.0;
   /// Wall-clock time of the processing phases (warmup consumption through
   /// the last document), including ranking overhead — the end-to-end
@@ -51,7 +50,7 @@ struct PipelineResult {
   /// Per-run view of the unified metrics registry (common/metrics.h):
   /// counters/histograms are this run's delta against the process-wide
   /// registry, with the run-scoped counters below stamped exactly from the
-  /// engine/executor stats structs. Empty when
+  /// run's own engine and loop state. Empty when
   /// PipelineConfig::metrics_enabled is false or IE_OBSERVABILITY is 0.
   MetricsSnapshot metrics;
 
@@ -70,24 +69,6 @@ struct PipelineResult {
   /// metrics registry read the same number.
   size_t full_rescores() const {
     return static_cast<size_t>(metrics.CounterOr("rerank.full_rescores"));
-  }
-
-  /// Speculative extraction executor telemetry (see
-  /// pipeline/extract_executor.h): consumed results that were ready
-  /// (hits), awaited in-flight (waits), computed inline (misses), and
-  /// queued prefetches dropped on re-ranks (cancelled). A serial run is
-  /// all misses. Timing-dependent — excluded from determinism comparisons.
-  size_t speculative_hits() const {
-    return static_cast<size_t>(metrics.CounterOr("executor.hits"));
-  }
-  size_t speculative_waits() const {
-    return static_cast<size_t>(metrics.CounterOr("executor.waits"));
-  }
-  size_t speculative_misses() const {
-    return static_cast<size_t>(metrics.CounterOr("executor.misses"));
-  }
-  size_t speculative_cancelled() const {
-    return static_cast<size_t>(metrics.CounterOr("executor.cancelled"));
   }
 
   /// Peak size of the between-updates example buffer. Non-adaptive runs

@@ -18,8 +18,8 @@ inline uint64_t BigramKey(TokenId a, TokenId b) {
 // bump-allocated from this arena and recycled between documents, so
 // steady-state featurization never round-trips the global allocator — the
 // returned SparseVector's own arrays are the only per-doc allocations
-// left. thread_local because the speculative executor featurizes on
-// worker threads.
+// left. thread_local because FeaturizePool featurizes on worker
+// threads.
 Arena& ScratchArena() {
   thread_local Arena arena;
   return arena;

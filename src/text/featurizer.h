@@ -36,8 +36,8 @@ class Featurizer {
 
   /// Bag-of-words (and optionally bigram) features for a document.
   ///
-  /// Thread safety: safe to call concurrently (the speculative extraction
-  /// executor featurizes on worker threads) provided nothing else mutates
+  /// Thread safety: safe to call concurrently (FeaturizePool featurizes
+  /// on worker threads) provided nothing else mutates
   /// the vocabulary concurrently. Bigram ids come from a shared
   /// read-mostly cache; interning a *new* bigram or attribute feature
   /// mutates the vocabulary, so parallel phases must be preceded by

@@ -8,8 +8,8 @@
 // Two layers of protection:
 //   1. Cross-thread byte-stability (strict, always on): for a fixed
 //      (ranker, detector, seed) the digest must be identical at
-//      extract_threads 1, 2, and 8. Any divergence means speculation or a
-//      hash-order dependence leaked into results.
+//      scoring_threads 1, 2, and 8. Any divergence means the threaded
+//      re-rank or a hash-order dependence leaked into results.
 //   2. Pinned golden digests: the digest must equal the recorded
 //      constant, catching silent behavior drift from refactors that
 //      "look" equivalent (map-iteration reorderings, float reassociation,
@@ -116,7 +116,7 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
 
   std::string first;
   for (size_t threads : {1u, 2u, 8u}) {
-    config.extract_threads = threads;
+    config.scoring_threads = threads;
     const PipelineResult result =
         AdaptiveExtractionPipeline::Run(context, config);
     ASSERT_FALSE(result.final_weights.empty());
@@ -130,7 +130,7 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
       first = digest;
     } else {
       EXPECT_EQ(digest, first)
-          << "digest diverged at extract_threads=" << threads;
+          << "digest diverged at scoring_threads=" << threads;
     }
   }
 

@@ -362,7 +362,7 @@ TEST(PipelineRecorderTest, LedgerHasHeaderIterAndFooterLines) {
     record.doc = static_cast<uint32_t>(i);
     record.useful = i % 2 == 0;
     record.useful_total = static_cast<uint64_t>(i / 2 + 1);
-    record.executor_misses = static_cast<uint64_t>(i + 1);
+    record.full_rescores = static_cast<uint64_t>(i / 4 + 1);
     if (i == 3) {
       record.retrained = true;
       record.weight_delta_norm = 0.25;
@@ -384,9 +384,13 @@ TEST(PipelineRecorderTest, LedgerHasHeaderIterAndFooterLines) {
   for (std::string line; std::getline(stream, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 12u);  // header + 10 iters + footer
   EXPECT_NE(lines.front().find("\"type\":\"header\""), std::string::npos);
-  EXPECT_NE(lines.front().find("\"schema\":2"), std::string::npos);
-  // Schema 2 carries no delta re-rank pass count.
-  EXPECT_EQ(contents.find("delta_rescores"), std::string::npos);
+  EXPECT_NE(lines.front().find("\"schema\":3"), std::string::npos);
+  // Schema 3 dropped the speculative-extraction header and iter fields.
+  EXPECT_EQ(lines.front().find("\"extract_"), std::string::npos);
+  for (const char* gone : {"\"hits\"", "\"waits\"", "\"misses\"",
+                           "\"cancelled\"", "\"queue\""}) {
+    EXPECT_EQ(contents.find(gone), std::string::npos) << gone;
+  }
   EXPECT_NE(lines[1].find("\"full_rescores\":"), std::string::npos);
   EXPECT_NE(lines[1].find("\"type\":\"iter\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"i\":1"), std::string::npos);
@@ -438,8 +442,7 @@ TEST(FlightRecorderPipelineTest, RecordsSeriesAndLedgerWithoutChangingRun) {
   EXPECT_EQ(recorded.update_positions, baseline.update_positions);
   EXPECT_EQ(recorded.final_weights, baseline.final_weights);
 
-  // Series invariants: ascending indices, cumulative counters monotone,
-  // executor identity hits + waits + misses == iterations consumed.
+  // Series invariants: ascending indices, cumulative counters monotone.
   ASSERT_FALSE(recorded.iterations.empty());
   const IterationRecord* prev = nullptr;
   uint64_t series_retrains = 0;
@@ -447,11 +450,8 @@ TEST(FlightRecorderPipelineTest, RecordsSeriesAndLedgerWithoutChangingRun) {
     if (prev != nullptr) {
       EXPECT_LT(prev->index, rec.index);
       EXPECT_LE(prev->useful_total, rec.useful_total);
-      EXPECT_LE(prev->executor_misses, rec.executor_misses);
       EXPECT_LE(prev->full_rescores, rec.full_rescores);
     }
-    EXPECT_EQ(rec.executor_hits + rec.executor_waits + rec.executor_misses,
-              rec.index + 1);
     EXPECT_NEAR(rec.useful_rate,
                 static_cast<double>(rec.useful_total) /
                     static_cast<double>(rec.index + 1),

@@ -1,6 +1,6 @@
 // CONTROL CASE — must COMPILE cleanly under -Wthread-safety[-beta]
-// -Werror. Exercises every wrapper (Mutex, SharedMutex, CondVar, scoped
-// locks, raw Lock/Unlock) with correct discipline; if this fails, the
+// -Werror. Exercises every wrapper (Mutex, SharedMutex, scoped locks,
+// raw Lock/Unlock) with correct discipline; if this fails, the
 // harness flags would be broken and every violation "failure" below it
 // meaningless.
 #include "common/sync.h"
@@ -20,18 +20,9 @@ class Guarded {
     mu_.Unlock();
   }
 
-  int WaitForPositive() EXCLUDES(mu_) {
+  int Read() EXCLUDES(mu_) {
     ie::MutexLock lock(mu_);
-    while (value_ <= 0) cv_.Wait(mu_);
     return value_;
-  }
-
-  void Signal() EXCLUDES(mu_) {
-    {
-      ie::MutexLock lock(mu_);
-      value_ = 1;
-    }
-    cv_.NotifyAll();
   }
 
   int ReadShared() EXCLUDES(smu_) {
@@ -46,7 +37,6 @@ class Guarded {
 
  private:
   ie::Mutex mu_;
-  ie::CondVar cv_;
   int value_ GUARDED_BY(mu_) = 0;
   ie::SharedMutex smu_;
   int shared_value_ GUARDED_BY(smu_) = 0;
@@ -58,7 +48,6 @@ int main() {
   Guarded g;
   g.Increment();
   g.IncrementSplit();
-  g.Signal();
   g.WriteShared(2);
-  return g.WaitForPositive() + g.ReadShared();
+  return g.Read() + g.ReadShared();
 }

@@ -16,7 +16,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "common/work_queue.h"
 #include "test_util.h"
 
 namespace ie {
@@ -335,7 +334,6 @@ TEST(PipelineObservabilityTest, RunPopulatesMetricsAndTrace) {
   // The stamped run-scoped counters always exist (any IE_OBSERVABILITY).
   EXPECT_EQ(result.metrics.CounterOr("pipeline.documents_processed"),
             result.processing_order.size());
-  EXPECT_EQ(result.speculative_misses(), result.processing_order.size());
   EXPECT_GT(result.full_rescores(), 0u);
 #if IE_OBSERVABILITY
   EXPECT_GT(result.metrics.CounterOr("learn.pegasos_steps"), 0u);
@@ -344,11 +342,17 @@ TEST(PipelineObservabilityTest, RunPopulatesMetricsAndTrace) {
   EXPECT_EQ(result.metrics.FindHistogram("pipeline.rank_seconds")
                 ->TotalCount(),
             result.full_rescores());
+  // One extraction timing per consumed document.
+  ASSERT_NE(result.metrics.FindHistogram("pipeline.extract_seconds"),
+            nullptr);
+  EXPECT_EQ(result.metrics.FindHistogram("pipeline.extract_seconds")
+                ->TotalCount(),
+            result.processing_order.size());
   const std::string json = ReadFile(path);
   ASSERT_FALSE(json.empty());
   for (const char* span : {"pipeline.run", "pipeline.sample",
                            "pipeline.warmup", "pipeline.rank",
-                           "pipeline.consume"}) {
+                           "pipeline.consume", "pipeline.extract"}) {
     EXPECT_NE(json.find(span), std::string::npos) << span;
   }
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
@@ -365,7 +369,8 @@ TEST(PipelineObservabilityTest, MetricsDisabledStillStampsRunCounters) {
   config.metrics_enabled = false;
   const PipelineResult result =
       AdaptiveExtractionPipeline::Run(context, config);
-  EXPECT_EQ(result.speculative_misses(), result.processing_order.size());
+  EXPECT_EQ(result.metrics.CounterOr("pipeline.documents_processed"),
+            result.processing_order.size());
   EXPECT_GT(result.full_rescores(), 0u);
   // No registry delta: only the stamped run-scoped counters, no histograms.
   EXPECT_TRUE(result.metrics.histograms.empty());
@@ -391,32 +396,28 @@ TEST(PipelineObservabilityTest, MetricsAreRunScoped) {
 
 // ---- Concurrency stress (re-spun under tsan by run_sanitized_tests.sh) --
 
-TEST(ObservabilityStress, RegistryAndTracerFromWorkQueueWorkers) {
+TEST(ObservabilityStress, RegistryAndTracerFromWorkerThreads) {
   const std::string path = TempPath("trace.json");
   ASSERT_TRUE(Tracer::Global().Start());
   MetricsRegistry& registry = MetricsRegistry::Global();
-  WorkQueue<int> queue;
-#if IE_OBSERVABILITY
-  queue.set_latency_histogram(
-      &registry.GetHistogram("stress.queue_latency_seconds"));
-#endif
   const uint64_t counter_before =
       registry.Snapshot().CounterOr("stress.items");
 
   constexpr int kWorkers = 4;
   constexpr int kItems = 2000;
+  std::atomic<int> next{0};
   std::atomic<int> consumed{0};
   std::vector<std::thread> workers;
   workers.reserve(kWorkers);
   for (int w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&] {
-      int item = 0;
-      while (queue.Pop(&item)) {
+      for (int item = next.fetch_add(1); item < kItems;
+           item = next.fetch_add(1)) {
         IE_TRACE_SCOPE("stress.item");
         IE_METRIC_COUNT("stress.items");
         IE_METRIC_GAUGE_SET("stress.last_item", item);
         IE_METRIC_HIST_OBSERVE("stress.item_value", item);
-        IE_TRACE_COUNTER("stress.queue_depth", queue.size());
+        IE_TRACE_COUNTER("stress.remaining", kItems - item);
         consumed.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -429,8 +430,6 @@ TEST(ObservabilityStress, RegistryAndTracerFromWorkQueueWorkers) {
       (void)snapshot.CounterOr("stress.items");
     }
   });
-  for (int i = 0; i < kItems; ++i) queue.Push(i);
-  queue.Close();
   for (std::thread& worker : workers) worker.join();
   snapshotter.join();
 
@@ -439,10 +438,10 @@ TEST(ObservabilityStress, RegistryAndTracerFromWorkQueueWorkers) {
 #if IE_OBSERVABILITY
   EXPECT_EQ(snapshot.CounterOr("stress.items"),
             counter_before + static_cast<uint64_t>(kItems));
-  const HistogramSnapshot* lat =
-      snapshot.FindHistogram("stress.queue_latency_seconds");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_GE(lat->TotalCount(), static_cast<uint64_t>(kItems));
+  const HistogramSnapshot* values =
+      snapshot.FindHistogram("stress.item_value");
+  ASSERT_NE(values, nullptr);
+  EXPECT_GE(values->TotalCount(), static_cast<uint64_t>(kItems));
 #else
   EXPECT_EQ(snapshot.CounterOr("stress.items"), counter_before);
 #endif

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "eval/experiment.h"
 #include "pipeline/factcrawl_pipeline.h"
+#include "pipeline/rerank_engine.h"
 #include "test_util.h"
 
 namespace ie {
@@ -277,6 +279,98 @@ TEST(RerankBufferTest, AdaptiveRunBuffersBetweenUpdates) {
   // largest between-updates interval, not the pool size.
   EXPECT_GT(result.peak_buffer_examples(), 0u);
   EXPECT_LT(result.peak_buffer_examples(), context.pool->size() / 2);
+}
+
+// ---- RerankEngine frontier contract ------------------------------------
+// The engine alone, scored through a score_override over a mutable table:
+// what the pipeline loop relies on when it pops one document at a time and
+// re-ranks on updates.
+
+class RerankEngineTest : public ::testing::Test {
+ protected:
+  RerankEngineTest()
+      : features_(16),
+        scores_(16, 0.0),
+        engine_(nullptr, &features_, RerankOptions{}, [this](DocId doc) {
+          ++score_calls_;
+          return scores_[doc];
+        }) {}
+
+  std::vector<DocId> PopAll() {
+    std::vector<DocId> popped;
+    for (DocId doc = 0; engine_.PopNext(&doc);) popped.push_back(doc);
+    return popped;
+  }
+
+  std::vector<SparseVector> features_;
+  std::vector<double> scores_;
+  size_t score_calls_ = 0;
+  RerankEngine engine_;
+};
+
+TEST_F(RerankEngineTest, EqualScoresPopInInsertionOrder) {
+  scores_[3] = 2.0;
+  scores_[8] = 2.0;
+  for (DocId doc : {5u, 3u, 9u, 8u, 0u}) engine_.AddCandidate(doc);
+  engine_.Rerank();
+  // Higher score first; ties keep insertion order.
+  EXPECT_EQ(PopAll(), (std::vector<DocId>{3, 8, 5, 9, 0}));
+}
+
+TEST_F(RerankEngineTest, CandidateAddedAfterRerankWaitsForNextRerank) {
+  scores_[1] = 1.0;
+  scores_[2] = 2.0;
+  scores_[7] = 9.0;
+  engine_.AddCandidate(1);
+  engine_.AddCandidate(2);
+  engine_.Rerank();
+  engine_.AddCandidate(7);  // best score, but not yet on the frontier
+  EXPECT_EQ(engine_.pending(), 3u);
+  EXPECT_EQ(PopAll(), (std::vector<DocId>{2, 1}));
+  EXPECT_EQ(engine_.pending(), 1u);
+  engine_.Rerank();
+  EXPECT_EQ(PopAll(), (std::vector<DocId>{7}));
+}
+
+TEST_F(RerankEngineTest, PopNextReturnsFalseWhenPoolExhausted) {
+  DocId doc = 99;
+  EXPECT_FALSE(engine_.PopNext(&doc));  // never ranked
+  engine_.AddCandidate(4);
+  engine_.Rerank();
+  EXPECT_TRUE(engine_.PopNext(&doc));
+  EXPECT_EQ(doc, 4u);
+  doc = 99;
+  EXPECT_FALSE(engine_.PopNext(&doc));
+  EXPECT_EQ(doc, 99u);  // untouched on false
+  engine_.Rerank();     // nothing pending: still exhausted
+  EXPECT_FALSE(engine_.PopNext(&doc));
+  EXPECT_EQ(engine_.pending(), 0u);
+}
+
+TEST_F(RerankEngineTest, PendingAndFullRescoresCount) {
+  for (DocId doc = 0; doc < 6; ++doc) {
+    scores_[doc] = static_cast<double>(doc);
+    engine_.AddCandidate(doc);
+  }
+  EXPECT_EQ(engine_.pending(), 6u);
+  EXPECT_EQ(engine_.full_rescores(), 0u);
+  engine_.Rerank();
+  EXPECT_EQ(engine_.full_rescores(), 1u);
+  EXPECT_EQ(score_calls_, 6u);  // one score per pending candidate
+  DocId doc = 0;
+  ASSERT_TRUE(engine_.PopNext(&doc));
+  EXPECT_EQ(doc, 5u);
+  ASSERT_TRUE(engine_.PopNext(&doc));
+  EXPECT_EQ(doc, 4u);
+  EXPECT_EQ(engine_.pending(), 4u);
+  // A model update reverses the order; the rescore covers only the four
+  // documents still pending.
+  for (DocId d = 0; d < 6; ++d) scores_[d] = -static_cast<double>(d);
+  engine_.Rerank();
+  EXPECT_EQ(engine_.full_rescores(), 2u);
+  EXPECT_EQ(score_calls_, 10u);
+  EXPECT_EQ(PopAll(), (std::vector<DocId>{0, 1, 2, 3}));
+  EXPECT_EQ(engine_.pending(), 0u);
 }
 
 }  // namespace

@@ -19,9 +19,8 @@ must contain at least one complete B/E pair with that name, and
 With --ledger LEDGER the trace is cross-checked against a flight-recorder
 run ledger (tools/report.py) from an identical configuration: the number
 of 'pipeline.update' spans must equal the ledger's retrain count, and the
-'executor.task' + 'executor.inline_task' span total must equal the
-ledger's iteration count (every consumed document was extracted exactly
-once somewhere). Both checks are skipped with a note when the trace
+number of 'pipeline.extract' spans must equal the ledger's iteration count
+(every consumed document was extracted exactly once). Both checks are skipped with a note when the trace
 reports dropped events — a truncated trace undercounts spans by design.
 
 Usage: tools/check_trace.py TRACE.json [TRACE2.json ...]
@@ -175,13 +174,11 @@ def cross_check_ledger(ledger_path, span_counts, dropped):
         findings.append(
             "%s: %d 'pipeline.update' span(s) but ledger has %d "
             "retrain(s)" % (ledger_path, updates, retrains))
-    extracted = span_counts.get("executor.task", 0) + \
-        span_counts.get("executor.inline_task", 0)
+    extracted = span_counts.get("pipeline.extract", 0)
     if extracted != iterations:
         findings.append(
-            "%s: %d extraction span(s) (executor.task + "
-            "executor.inline_task) but ledger has %d iteration(s)" %
-            (ledger_path, extracted, iterations))
+            "%s: %d 'pipeline.extract' span(s) but ledger has %d "
+            "iteration(s)" % (ledger_path, extracted, iterations))
     return findings
 
 

@@ -71,7 +71,7 @@ step "header self-sufficiency gate (tests/headercheck)"
 ctest --test-dir build-default -R '^headercheck\.' -j "$JOBS"
 
 step "golden-hash determinism matrix (rankers x seeds x threads)"
-# Byte-stable digests across extract_threads {1,2,8} plus pinned golden
+# Byte-stable digests across scoring_threads {1,2,8} plus pinned golden
 # constants; see DESIGN.md §12 for the re-pin procedure.
 ctest --test-dir build-default -R 'DeterminismGoldenTest' \
     --output-on-failure -j "$JOBS"
@@ -90,16 +90,15 @@ step "bench_rerank perf trajectory (SoA kernels + arena featurizer)"
 IE_BENCH_DOCS=4000 ./build-default/bench/bench_rerank \
     --out=build-default/BENCH_rerank.json --reps=3
 
-step "bench_extract smoke (speculative extraction executor + tracing)"
-# Serial + 2-thread live-extraction runs on a small corpus: proves the
-# executor engages (hit counters) and output stays byte-identical. The
-# ≥2.5x @ 8-thread gate self-skips below 8 hardware threads. --trace adds
-# the observability smoke: traced 2-thread runs export a Chrome trace and
-# measure overhead against untraced runs (best-of-3 each); --ledger does
-# the same for the flight recorder (serial runs, JSONL run ledger);
-# --metrics-out renders the serial run's Prometheus exposition.
+step "bench_extract smoke (live extraction + tracing)"
+# A live-extraction run on a small corpus: proves its output is
+# byte-identical to the cached-outcome run. --trace adds the observability
+# smoke: traced runs export a Chrome trace and measure overhead against
+# untraced runs (8 interleaved pairs of CPU seconds); --ledger does the
+# same for the flight recorder (JSONL run ledger); --metrics-out renders
+# the live run's Prometheus exposition.
 IE_BENCH_DOCS=4000 ./build-default/bench/bench_extract \
-    --threads=1,2 --out=build-default/BENCH_extract.json \
+    --out=build-default/BENCH_extract.json \
     --trace=build-default/trace_extract.json \
     --ledger=build-default/ledger_extract.jsonl \
     --metrics-out=build-default/metrics_extract.prom
@@ -145,19 +144,19 @@ python3 tools/lint.py --treat-as-src src/common/metrics_export.cc \
 
 step "trace validation (tools/check_trace.py)"
 # The exported trace must be well-formed, balanced, and monotonic, and
-# must actually cover the hot phases: pipeline rank/consume/update spans,
-# executor task spans, and the queue-depth counter track.
+# must actually cover the hot phases: pipeline rank/update spans, one
+# extraction span per document, and the Mod-C angle counter track.
 python3 tools/check_trace.py build-default/trace_extract.json \
     --require-span pipeline.run --require-span pipeline.sample \
     --require-span pipeline.warmup --require-span pipeline.rank \
-    --require-span pipeline.update --require-span executor.task \
-    --require-counter executor.queue_depth \
+    --require-span pipeline.update --require-span pipeline.extract \
+    --require-counter detector.modc.angle_degrees \
     --ledger build-default/ledger_extract.jsonl
 
 step "flight-recorder ledger validation (tools/report.py)"
 # The run ledger must satisfy the schema invariants (strict numbering,
-# monotone cumulative counters, executor identity, phase ordering, footer
-# consistency) — and so must a byte-truncated copy, proving the crash-safe
+# monotone cumulative counters, phase ordering, footer consistency) — and
+# so must a byte-truncated copy, proving the crash-safe
 # append-per-line property actually yields parseable partial files. The
 # Prometheus exposition round-trips its own validator, and the report/diff
 # renderers must run clean on real data.

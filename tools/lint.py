@@ -19,7 +19,7 @@ Style / hygiene rules:
   naked-new            no naked new/delete in src/
   raw-mutex            no bare std:: sync primitives outside
                        src/common/sync.h — use the capability-annotated
-                       ie::Mutex/SharedMutex/CondVar wrappers (DESIGN.md
+                       ie::Mutex/SharedMutex wrappers (DESIGN.md
                        §11)
 
 Determinism rules (DESIGN.md §12) — the static side of the byte-identical
@@ -68,8 +68,8 @@ module layering and the shared-vs-session state split:
                        (<reason>)`.
   const-escape         no `const_cast` and no `mutable` members in src/.
                        `mutable` on the sync-facade primitives (ie::Mutex,
-                       SharedMutex, CondVar) is the sanctioned
-                       synchronized-interior handle and is exempt; any
+                       SharedMutex) is the sanctioned synchronized-interior
+                       handle and is exempt; any
                        other site needs `// ARCH: const-escape (<reason>)`
                        naming why the mutation is unobservable (e.g. a
                        lock-guarded cache behind a deterministic warm
@@ -542,7 +542,7 @@ class RawMutexRule(Rule):
                 yield idx, ("bare std:: sync primitive; use the "
                             "capability-annotated wrappers in "
                             "src/common/sync.h (ie::Mutex, MutexLock, "
-                            "CondVar, ...)")
+                            "SharedMutex, ...)")
 
 
 def _match_paren(text, open_pos):
@@ -764,7 +764,7 @@ class ConstEscapeRule(Rule):
     # non-const by design, so a const reader must hold the primitive
     # mutable. Anything else guarded by it still needs its own waiver.
     SYNC_PRIMITIVE_RE = re.compile(
-        r"\bmutable\s+(?:ie\s*::\s*)?(?:Mutex|SharedMutex|CondVar)\b")
+        r"\bmutable\s+(?:ie\s*::\s*)?(?:Mutex|SharedMutex)\b")
     # Skip lambda mutability (`](...) mutable {`): it is capture-local
     # state, not a const-object escape.
     MUTABLE_MEMBER_RE = re.compile(r"(?<!\))\s*\bmutable\b")

@@ -4,7 +4,7 @@
 The pipeline's flight recorder (src/pipeline/recorder.cc, DESIGN.md §15)
 writes one JSON object per line:
 
-  {"type":"header","schema":2, ...run metadata...}
+  {"type":"header","schema":3, ...run metadata...}
   {"type":"iter","i":1, ...one iteration...}          x N, flushed per line
   {"type":"end", ...run totals...}                    absent if crashed
 
@@ -32,8 +32,7 @@ import sys
 
 PHASES = ("warmup", "main", "tail")
 # Cumulative iteration counters: monotone non-decreasing across the run.
-CUMULATIVE = ("useful_total", "full_rescores", "hits", "waits", "misses",
-              "cancelled")
+CUMULATIVE = ("useful_total", "full_rescores")
 
 
 class Ledger:
@@ -105,9 +104,8 @@ def validate(path):
     """Returns a list of findings for one ledger file.
 
     Invariants (beyond parseability):
-      header      schema == 2, present before any iteration
+      header      schema == 3, present before any iteration
       numbering   iter "i" strictly 1,2,3,... (the recorder assigns them)
-      executor    hits + waits + misses == i (exactly one Take per doc)
       cumulative  monotone non-decreasing counters (CUMULATIVE)
       usefulness  useful in {0,1}; useful_total increments by useful;
                   useful_rate == useful_total / i (within 1e-9)
@@ -121,7 +119,7 @@ def validate(path):
     ledger = parse_ledger(path, findings)
     if ledger.header is None:
         findings.append("%s: missing header line" % path)
-    elif ledger.header.get("schema") != 2:
+    elif ledger.header.get("schema") != 3:
         findings.append("%s: unsupported schema %r" %
                         (path, ledger.header.get("schema")))
 
@@ -139,8 +137,7 @@ def validate(path):
             i = expect
 
         for key in ("doc", "phase", "useful", "useful_total", "useful_rate",
-                    "stat", "retrain", "full_rescores", "hits", "waits",
-                    "misses", "cancelled", "queue", "arena"):
+                    "stat", "retrain", "full_rescores", "arena"):
             if key not in obj:
                 findings.append("%s: missing field %r" % (where, key))
         phase = obj.get("phase")
@@ -166,10 +163,6 @@ def validate(path):
             findings.append("%s: useful_rate %r != %d/%d" %
                             (where, rate, total, i))
 
-        consumed = sum(obj.get(k, 0) for k in ("hits", "waits", "misses"))
-        if consumed != i:
-            findings.append("%s: hits+waits+misses %d != i" %
-                            (where, consumed))
         for key in CUMULATIVE:
             now, before = obj.get(key), (prev or {}).get(key, 0)
             if isinstance(now, int) and isinstance(before, int) and \
@@ -247,11 +240,6 @@ def summarize(ledger):
         out["useful_rate"] = last.get("useful_rate", 0.0)
         out["updates"] = sum(o.get("retrain", 0) for o in iters)
         out["full_rescores"] = last.get("full_rescores", 0)
-        out["executor_hits"] = last.get("hits", 0)
-        out["executor_waits"] = last.get("waits", 0)
-        out["executor_misses"] = last.get("misses", 0)
-        out["executor_cancelled"] = last.get("cancelled", 0)
-        out["peak_queue_depth"] = max(o.get("queue", 0) for o in iters)
         out["peak_arena_bytes"] = max(o.get("arena", 0) for o in iters)
         for phase in PHASES:
             n = sum(1 for o in iters if o.get("phase") == phase)

@@ -31,14 +31,10 @@ for preset in "${PRESETS[@]}"; do
   echo "=== [$preset] ctest ==="
   ctest --preset "$preset" -j "$JOBS"
   if [ "$preset" = tsan ]; then
-    # Extra spins of the executor stress surface: races here are
-    # scheduling-dependent, so one ctest pass under-samples them.
-    echo "=== [$preset] extract executor stress (x5) ==="
-    "build-$preset/tests/extract_parallel_test" \
-        --gtest_filter='ExtractExecutorStress.*:WorkQueueTest.Concurrent*:LatchTest.Concurrent*' \
-        --gtest_repeat=5 --gtest_brief=1
-    # Metrics registry + tracer hammered from WorkQueue workers while a
-    # snapshotter reads concurrently (see tests/observability_test.cc).
+    # Extra spins of the observability stress surface: races there are
+    # scheduling-dependent, so one ctest pass under-samples them. Metrics
+    # registry + tracer hammered from worker threads while a snapshotter
+    # reads concurrently (see tests/observability_test.cc).
     echo "=== [$preset] observability stress (x5) ==="
     "build-$preset/tests/observability_test" \
         --gtest_filter='ObservabilityStress.*' \
