@@ -101,15 +101,26 @@ struct GoldenCase {
   const char* pinned;
 };
 
-class DeterminismGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
+/// Search-interface digest: the run digest plus the per-update feature
+/// churn, which the search-interface refresh queries are drawn from.
+std::string SearchRunDigest(const SharedContext& context,
+                            const PipelineResult& result) {
+  Digest d;
+  d.Str(RunDigest(context, result));
+  d.U64(result.features_added_per_update.size());
+  for (size_t added : result.features_added_per_update) d.U64(added);
+  d.U64(result.features_removed_per_update.size());
+  for (size_t removed : result.features_removed_per_update) d.U64(removed);
+  return d.Hex();
+}
 
-TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
-  const GoldenCase param = GetParam();
-  const SharedContext context =
-      test::MakeSharedContext(RelationId::kPersonCharge);
-  PipelineConfig config = PipelineConfig::Defaults(
-      param.ranker, SamplerKind::kSRS, param.update, param.seed);
-  config.sample_size = 120;
+/// Runs `config` at scoring_threads 1, 2 and 8, requires one digest across
+/// them, and checks it against `pinned` (unless IE_GOLDEN_SKIP_PIN is set).
+/// `updates`, when given, receives the run's model-update count.
+void ExpectStableAndPinned(
+    const SharedContext& context, PipelineConfig config,
+    std::string (*digest_of)(const SharedContext&, const PipelineResult&),
+    const char* pinned, size_t* updates = nullptr) {
   // The flight recorder is a passive observer: running with it on must
   // reproduce the pinned digests bit for bit (inert no-op in obs-off).
   config.record_iterations = true;
@@ -125,7 +136,8 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
       ASSERT_LT(result.final_weights[i - 1].first,
                 result.final_weights[i].first);
     }
-    const std::string digest = RunDigest(context, result);
+    if (updates != nullptr) *updates = result.update_positions.size();
+    const std::string digest = digest_of(context, result);
     if (first.empty()) {
       first = digest;
     } else {
@@ -138,9 +150,21 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
     GTEST_LOG_(INFO) << "IE_GOLDEN_SKIP_PIN set; computed digest " << first;
     return;
   }
-  EXPECT_EQ(first, param.pinned)
+  EXPECT_EQ(first, pinned)
       << "golden digest drifted — if the change is intentional, re-pin "
          "with the digest above (see DESIGN.md §12)";
+}
+
+class DeterminismGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
+  const GoldenCase param = GetParam();
+  const SharedContext context =
+      test::MakeSharedContext(RelationId::kPersonCharge);
+  PipelineConfig config = PipelineConfig::Defaults(
+      param.ranker, SamplerKind::kSRS, param.update, param.seed);
+  config.sample_size = 120;
+  ExpectStableAndPinned(context, config, RunDigest, param.pinned);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -164,6 +188,49 @@ INSTANTIATE_TEST_SUITE_P(
                    "dfbb93b5247a40bf"},
         GoldenCase{RankerKind::kBAggIE, UpdateKind::kTopK, 7,
                    "0b363c2d48e92bdc"}));
+
+// Search-interface access over the production CompactIndex: pins the
+// candidate pool the initial and refresh queries grow, and so the order in
+// which the index's hits reach the re-rank engine. The seeds are ones at
+// which the detector fires (asserted), so the refresh queries run.
+class SearchInterfaceDeterminismGoldenTest
+    : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(SearchInterfaceDeterminismGoldenTest,
+       ByteStableAcrossThreadsAndPinned) {
+  const GoldenCase param = GetParam();
+  static const CompactIndex* const index = new CompactIndex(
+      BuildCompactPoolIndex(test::SharedCorpus(),
+                            test::SharedCorpus().splits().test));
+  SharedContext context = test::MakeSharedContext(RelationId::kPersonCharge);
+  context.index = index;
+  PipelineConfig config = PipelineConfig::Defaults(
+      param.ranker, SamplerKind::kSRS, param.update, param.seed);
+  config.sample_size = 120;
+  config.access = AccessMode::kSearchInterface;
+  size_t updates = 0;
+  ExpectStableAndPinned(context, config, SearchRunDigest, param.pinned,
+                        &updates);
+  EXPECT_GT(updates, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankersAndSeeds, SearchInterfaceDeterminismGoldenTest,
+    ::testing::Values(
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kWindF, 1,
+                   "ee3738c6539639f8"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kWindF, 2,
+                   "c3fc9caa11fbfa1e"},
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kModC, 1,
+                   "c34bcef55b4fe8c6"},
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kModC, 3,
+                   "eb3eac2b70732fb7"}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.ranker == RankerKind::kRSVMIE
+                             ? "RSVM_ModC"
+                             : "BAgg_WindF") +
+             "_seed" + std::to_string(info.param.seed);
+    });
 
 }  // namespace
 }  // namespace ie
