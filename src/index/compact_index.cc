@@ -63,7 +63,7 @@ Status CompactIndex::Add(const Document& doc) {
     return Status::InvalidArgument(
         StrFormat("doc id %u exceeds CompactIndex::kMaxDocId", doc.id));
   }
-  if (doc_lengths_.count(doc.id) > 0) {
+  if (doc.id < doc_lengths_.size() && doc_lengths_[doc.id] != kNoDoc) {
     return Status::InvalidArgument(
         StrFormat("document %u already indexed", doc.id));
   }
@@ -75,7 +75,11 @@ Status CompactIndex::Add(const Document& doc) {
       ++length;
     }
   }
+  if (doc.id >= doc_lengths_.size()) {
+    doc_lengths_.resize(static_cast<size_t>(doc.id) + 1, kNoDoc);
+  }
   doc_lengths_[doc.id] = length;
+  ++num_docs_;
   total_length_ += length;
   // DETERMINISM: order-insensitive (one staged posting per (term, doc);
   // Finalize re-sorts every list by doc id before encoding)
@@ -90,7 +94,7 @@ double CompactIndex::Contribution(double idf, uint32_t tf, DocId doc) const {
   // Must stay arithmetically identical to InvertedIndex::Search's per
   // posting expression — same association order, token for token — or the
   // cross-backend byte-identity contract breaks in the last ulp.
-  const double len = doc_lengths_.at(doc);
+  const double len = doc_lengths_[doc];
   const double tfd = tf;
   const double denom =
       tfd + params_.k1 * (1.0 - params_.b + params_.b * len / avg_len_);
@@ -266,7 +270,7 @@ struct CompactIndex::Cursor {
 std::vector<SearchHit> CompactIndex::Search(const std::vector<TokenId>& terms,
                                             size_t k) const {
   IE_CHECK(finalized_);
-  if (k == 0 || doc_lengths_.empty()) return {};
+  if (k == 0 || num_docs_ == 0) return {};
 
   // Cursors in deduped first-occurrence query order — the order the exact
   // scoring loop below adds contributions in, matching InvertedIndex.
@@ -292,7 +296,7 @@ std::vector<SearchHit> CompactIndex::Search(const std::vector<TokenId>& terms,
   // Max-heap under `better`: the front is the *worst* of the best k, i.e.
   // the pruning threshold.
   std::vector<SearchHit> heap;
-  heap.reserve(std::min(k, doc_lengths_.size()));
+  heap.reserve(std::min(k, num_docs_));
 
   std::vector<size_t> order;  // live cursors, sorted by current doc id
   order.reserve(cursors.size());

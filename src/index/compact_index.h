@@ -15,6 +15,12 @@
 // (document frequencies, average length) and compresses the staged
 // postings, releasing the staging memory. Search/DocFreq require a
 // finalized index.
+//
+// Document lengths live in a dense table indexed by doc id, so scoring a
+// posting reads its length without a hash lookup. The table costs 4 bytes
+// per id from 0 up to the largest id added, whether or not every id in
+// between is indexed: ids should be dense (as every corpus here assigns
+// them) or at least bounded by the corpus size.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +66,7 @@ class CompactIndex : public SearchIndex {
 
   bool finalized() const { return finalized_; }
 
-  size_t NumDocs() const override { return doc_lengths_.size(); }
+  size_t NumDocs() const override { return num_docs_; }
   size_t NumPostings() const override { return num_postings_; }
 
   size_t DocFreq(TokenId term) const override;
@@ -104,9 +110,13 @@ class CompactIndex : public SearchIndex {
   const TermMeta* FindTerm(TokenId term, const Shard** shard) const;
   double Contribution(double idf, uint32_t tf, DocId doc) const;
 
+  /// doc_lengths_ entry of an id that was never added.
+  static constexpr uint32_t kNoDoc = 0xffffffffu;
+
   Bm25Params params_;
   std::vector<Shard> shards_;
-  std::unordered_map<DocId, uint32_t> doc_lengths_;
+  std::vector<uint32_t> doc_lengths_;  // by doc id; kNoDoc where absent
+  size_t num_docs_ = 0;
   size_t num_postings_ = 0;
   double total_length_ = 0.0;
   bool finalized_ = false;

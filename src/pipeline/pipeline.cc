@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <unordered_set>
+#include <iterator>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/arena.h"
@@ -160,13 +162,12 @@ CompactIndex BuildCompactPoolIndex(const Corpus& corpus,
 
 namespace {
 
-/// Support set of a model's non-zero weights (feature-churn accounting).
-/// Iterates the stored non-zeros directly instead of issuing a
-/// bounds-checked Get per vocabulary id.
-std::unordered_set<uint32_t> WeightSupport(const WeightVector& w) {
-  std::unordered_set<uint32_t> support;
+/// Support set of a model's non-zero weights (feature-churn accounting),
+/// id-sorted: ForEachNonZero walks the weights in id order.
+std::vector<uint32_t> WeightSupport(const WeightVector& w) {
+  std::vector<uint32_t> support;
   w.ForEachNonZero([&support](uint32_t id, double value) {
-    if (std::abs(value) > 1e-9) support.insert(id);
+    if (std::abs(value) > 1e-9) support.push_back(id);
   });
   return support;
 }
@@ -298,7 +299,8 @@ PipelineResult RunImpl(const SharedContext& context,
   };
 
   WallTimer extract_wall;
-  std::unordered_set<DocId> processed;
+  // Membership flags indexed by DocId (pool ids are corpus ids).
+  std::vector<uint8_t> processed(context.corpus->size(), 0);
   auto consume = [&](DocId id) -> LabeledExample {
     LabeledExample example;
     {
@@ -312,7 +314,7 @@ PipelineResult RunImpl(const SharedContext& context,
     result.extraction_seconds += context.relation->extraction_cost_seconds;
     result.processing_order.push_back(id);
     result.processed_useful.push_back(example.label > 0 ? 1 : 0);
-    processed.insert(id);
+    processed[id] = 1;
     return example;
   };
   // Consumes `ids` front to back (the fixed-order phases: warmup sample
@@ -358,7 +360,7 @@ PipelineResult RunImpl(const SharedContext& context,
       MakeDetector(config, context.pool->size(), rng.NextUint64());
   detector_raw = session.detector.get();
   session.detector->OnModelUpdated(*session.ranker, sample_examples);
-  std::unordered_set<uint32_t> prev_support =
+  std::vector<uint32_t> prev_support =
       WeightSupport(session.ranker->ModelWeights());
 
   // ---- Candidate pool --------------------------------------------------
@@ -367,15 +369,29 @@ PipelineResult RunImpl(const SharedContext& context,
   // tie-break; later discoveries (search-interface refreshes) go straight
   // into the engine, which appends them to the same tie-break order.
   std::vector<DocId> remaining;
-  // DETERMINISM: order-insensitive (set-to-set copy; only membership is
-  // ever read from in_pool)
-  std::unordered_set<DocId> in_pool(processed.begin(), processed.end());
+  std::vector<uint8_t> in_pool = processed;
   auto add_candidate = [&](DocId id) {
-    if (!in_pool.insert(id).second) return;
+    if (in_pool[id] != 0) return;
+    in_pool[id] = 1;
     if (engine_ptr != nullptr) {
       engine_ptr->AddCandidate(id);
     } else {
       remaining.push_back(id);
+    }
+  };
+  // Search-interface queries. A query already searched at least `depth`
+  // deep is not sent again, which changes nothing (DESIGN.md §13): the
+  // index is deep-const and Search exact, so the top `depth` hits are a
+  // prefix of the deeper search's hits, all of which add_candidate has
+  // already seen and so ignores.
+  std::unordered_map<std::string, size_t> searched_depth;
+  auto search = [&](const std::string& query, size_t depth) {
+    size_t& deepest = searched_depth[query];
+    if (deepest >= depth) return;
+    deepest = depth;
+    for (const SearchHit& hit :
+         context.index->SearchText(query, context.corpus->vocab(), depth)) {
+      add_candidate(hit.doc);
     }
   };
   if (config.access == AccessMode::kFullAccess) {
@@ -387,10 +403,7 @@ PipelineResult RunImpl(const SharedContext& context,
                      QueryMethod::kSvmWeights, config.search_initial_queries,
                      rng.NextUint64());
     for (const std::string& query : queries) {
-      for (const SearchHit& hit : context.index->SearchText(
-               query, context.corpus->vocab(), config.search_initial_depth)) {
-        add_candidate(hit.doc);
-      }
+      search(query, config.search_initial_depth);
     }
   }
   rng.Shuffle(remaining);  // deterministic tie-break for equal scores
@@ -468,17 +481,19 @@ PipelineResult RunImpl(const SharedContext& context,
         }
         result.ranking_cpu_seconds += timer.ElapsedSeconds();
       }
-      // Feature churn between consecutive models.
-      const std::unordered_set<uint32_t> support =
+      // Feature churn between consecutive models: one merge of the two
+      // id-sorted supports.
+      std::vector<uint32_t> support =
           WeightSupport(session.ranker->ModelWeights());
-      size_t added = 0, removed = 0;
-      // DETERMINISM: order-insensitive (integer membership counting)
-      for (uint32_t f : support) added += prev_support.count(f) == 0;
-      // DETERMINISM: order-insensitive (integer membership counting)
-      for (uint32_t f : prev_support) removed += support.count(f) == 0;
-      result.features_added_per_update.push_back(added);
-      result.features_removed_per_update.push_back(removed);
-      prev_support = support;
+      std::vector<uint32_t> kept;
+      std::set_intersection(prev_support.begin(), prev_support.end(),
+                            support.begin(), support.end(),
+                            std::back_inserter(kept));
+      result.features_added_per_update.push_back(support.size() -
+                                                 kept.size());
+      result.features_removed_per_update.push_back(prev_support.size() -
+                                                   kept.size());
+      prev_support = std::move(support);
 
       session.detector->OnModelUpdated(*session.ranker, buffer);
       buffer.clear();
@@ -493,11 +508,7 @@ PipelineResult RunImpl(const SharedContext& context,
           if (f.id >= context.corpus->vocab().size()) continue;
           const std::string& term = context.corpus->vocab().Term(f.id);
           if (!IsQueryableTerm(term)) continue;
-          for (const SearchHit& hit : context.index->SearchText(
-                   term, context.corpus->vocab(),
-                   config.search_refresh_depth)) {
-            add_candidate(hit.doc);
-          }
+          search(term, config.search_refresh_depth);
         }
       }
 
@@ -536,7 +547,7 @@ PipelineResult RunImpl(const SharedContext& context,
     IE_TRACE_SCOPE("pipeline.leftovers");
     std::vector<DocId> leftovers;
     for (DocId id : *context.pool) {
-      if (processed.count(id) == 0) leftovers.push_back(id);
+      if (processed[id] == 0) leftovers.push_back(id);
     }
     rng.Shuffle(leftovers);
     record_phase = IterationPhase::kTail;

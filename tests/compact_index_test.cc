@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -79,6 +80,40 @@ TEST_F(CompactIndexTest, BuildProtocolEnforced) {
   EXPECT_TRUE(compact_.Add(late).IsFailedPrecondition());
   compact_.Finalize();  // idempotent
   EXPECT_EQ(compact_.NumDocs(), 1u);
+}
+
+TEST_F(CompactIndexTest, GappedIdsMatchInvertedIndex) {
+  // A pool subset: ids are sparse, added out of order, and the length
+  // table has holes that must not count as documents.
+  const std::vector<DocId> ids = {1021, 5, 300, 18, 17, 640, 99};
+  const char* const kTopics[] = {"alpha", "beta", "gamma"};
+  for (DocId id : ids) {
+    AddBoth(id, std::string("report ") + kTopics[id % 3] + " storm coast.");
+  }
+  // An empty document is still a document (length 0 is not a hole).
+  const Document empty = TextToDocument(7, "", vocab_);
+  ASSERT_TRUE(inverted_.Add(empty).ok());
+  ASSERT_TRUE(compact_.Add(empty).ok());
+  EXPECT_TRUE(compact_.Add(empty).IsInvalidArgument());
+  // Re-adding an id is an error; a hole below the largest id is not.
+  const Document dup = TextToDocument(300, "storm.", vocab_);
+  EXPECT_TRUE(compact_.Add(dup).IsInvalidArgument());
+  AddBoth(6, "storm storm storm.");
+  // Ids past kMaxDocId are rejected before any table growth.
+  const Document huge = TextToDocument(CompactIndex::kMaxDocId + 1u, "x.",
+                                       vocab_);
+  EXPECT_TRUE(compact_.Add(huge).IsInvalidArgument());
+  compact_.Finalize();
+  EXPECT_EQ(compact_.NumDocs(), ids.size() + 2);
+  EXPECT_EQ(compact_.NumDocs(), inverted_.NumDocs());
+  EXPECT_EQ(compact_.NumPostings(), inverted_.NumPostings());
+  const Document late = TextToDocument(8, "storm.", vocab_);
+  EXPECT_TRUE(compact_.Add(late).IsFailedPrecondition());
+  for (size_t k : {1u, 3u, 20u}) {
+    CheckQuery("storm", k);
+    CheckQuery("report beta coast", k);
+    CheckQuery("alpha gamma", k);
+  }
 }
 
 TEST_F(CompactIndexTest, HandcraftedEquivalence) {
@@ -199,6 +234,57 @@ TEST_F(CompactIndexTest, RandomizedEquivalence200QueriesPerSeed) {
                      "seed " + std::to_string(seed) + " query " +
                          std::to_string(q));
       if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+// The premise the pipeline's per-run query memo rests on: top-k under
+// (score desc, doc asc) is prefix-closed, so Search(q, d) is the first d
+// hits of Search(q, d') for every d < d' — in both backends, with the
+// WAND pruning (which tightens as k shrinks) included.
+TEST_F(CompactIndexTest, ShallowSearchIsPrefixOfDeeperSearch) {
+  Rng rng(91);
+  constexpr uint32_t kVocabSize = 150;
+  InvertedIndex inverted;
+  CompactIndex compact;
+  for (DocId id = 0; id < 300; ++id) {
+    Document doc;
+    doc.id = id;
+    Sentence sentence;
+    // Short Zipf documents: many equal (tf, length) pairs, hence many
+    // exact score ties for the doc-id tie-break to order.
+    const size_t len = 2 + rng.NextBounded(8);
+    for (size_t t = 0; t < len; ++t) {
+      sentence.tokens.push_back(
+          static_cast<TokenId>(rng.NextZipf(kVocabSize, 1.1)));
+    }
+    doc.sentences.push_back(std::move(sentence));
+    ASSERT_TRUE(inverted.Add(doc).ok());
+    ASSERT_TRUE(compact.Add(doc).ok());
+  }
+  compact.Finalize();
+
+  const SearchIndex* backends[] = {&inverted, &compact};
+  for (int q = 0; q < 40; ++q) {
+    std::vector<TokenId> terms;
+    const size_t num_terms = 1 + rng.NextBounded(3);
+    for (size_t t = 0; t < num_terms; ++t) {
+      terms.push_back(static_cast<TokenId>(rng.NextBounded(kVocabSize)));
+    }
+    for (const SearchIndex* index : backends) {
+      const std::string label = std::string(index == &compact ? "compact"
+                                                              : "inverted") +
+                                " query " + std::to_string(q);
+      const std::vector<SearchHit> deepest = index->Search(terms, 400);
+      for (size_t d = 0; d <= deepest.size(); ++d) {
+        const std::vector<SearchHit> prefix(
+            deepest.begin(),
+            deepest.begin() +
+                static_cast<std::vector<SearchHit>::difference_type>(d));
+        ExpectSameHits(prefix, index->Search(terms, d),
+                       label + " d=" + std::to_string(d));
+        if (::testing::Test::HasFailure()) return;
+      }
     }
   }
 }

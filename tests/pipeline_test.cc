@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "eval/experiment.h"
@@ -186,6 +187,60 @@ TEST(PipelineTest, SearchInterfaceAccessCoversPool) {
   const PipelineResult result =
       AdaptiveExtractionPipeline::Run(context, config);
   CheckRunInvariants(result, context);
+}
+
+// SearchIndex decorator that logs every (terms, k) request reaching the
+// wrapped index.
+class CountingIndex : public SearchIndex {
+ public:
+  explicit CountingIndex(const SearchIndex* inner) : inner_(inner) {}
+  size_t NumDocs() const override { return inner_->NumDocs(); }
+  size_t NumPostings() const override { return inner_->NumPostings(); }
+  size_t DocFreq(TokenId term) const override {
+    return inner_->DocFreq(term);
+  }
+  size_t PostingsBytes() const override { return inner_->PostingsBytes(); }
+  std::vector<SearchHit> Search(const std::vector<TokenId>& terms,
+                                size_t k) const override {
+    calls_.emplace_back(terms, k);
+    return inner_->Search(terms, k);
+  }
+  const std::vector<std::pair<std::vector<TokenId>, size_t>>& calls() const {
+    return calls_;
+  }
+
+ private:
+  const SearchIndex* inner_;
+  mutable std::vector<std::pair<std::vector<TokenId>, size_t>> calls_;
+};
+
+TEST(PipelineTest, SearchInterfaceSendsEachQueryOncePerDepth) {
+  SharedContext context = test::MakeSharedContext(RelationId::kPersonCharge);
+  const CountingIndex counting(context.index);
+  context.index = &counting;
+  const PipelineConfig config = [] {
+    PipelineConfig c = BaseConfig(RankerKind::kBAggIE, UpdateKind::kWindF, 1);
+    c.access = AccessMode::kSearchInterface;
+    return c;
+  }();
+  const PipelineResult result =
+      AdaptiveExtractionPipeline::Run(context, config);
+  CheckRunInvariants(result, context);
+  // Many updates, each refreshing with the model's top features: the same
+  // terms come up again and again, and must not be searched again unless
+  // a request is deeper than every earlier one for that query.
+  ASSERT_GT(result.NumUpdates(), 10u);
+  const auto& calls = counting.calls();
+  ASSERT_FALSE(calls.empty());
+  for (size_t i = 0; i < calls.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (calls[j].first == calls[i].first) {
+        ASSERT_GT(calls[i].second, calls[j].second)
+            << "call " << i << " repeats call " << j
+            << " without searching deeper";
+      }
+    }
+  }
 }
 
 TEST(PipelineTest, OverheadAccountingNonNegative) {
